@@ -63,6 +63,22 @@ class TestForestGrammar:
         with pytest.raises(ParseError, match="trailing"):
             parse_forest("0 0")
 
+    def test_syntax_checked_before_colors(self):
+        # "[5:" ends early and "[5:]]" trails; both hold the bad color 5
+        for text in ["[5:", "[5:]]", "{7,}"]:
+            with pytest.raises(ParseError):
+                parse_forest(text, k=2)
+
+    def test_first_bad_color_in_text_order(self):
+        for text, bad in [("[5:]", 5), ("{[0:5],3}", 5), ("{3,[0:5]}", 3)]:
+            with pytest.raises(ValueError) as err:
+                parse_forest(text, k=2)
+            assert not isinstance(err.value, ParseError)
+            assert str(err.value) == f"color {bad} outside alphabet of size 2"
+
+    def test_empty_braces_are_level0(self):
+        assert parse_forest("{}", k=2) == iterated.IForest(0)
+
 
 class TestForestRoundTrip:
     def test_reference_shapes(self):
