@@ -37,6 +37,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def natural(text: str) -> int:
+    """Argument type of the bounds: a non-negative integer."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fhc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -49,12 +56,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("term")
         p.add_argument("--k", type=int, default=2,
                        help="alphabet size (colors 0..k-1); default 2")
-        p.add_argument("--n", type=int, default=0,
+        p.add_argument("--n", type=natural, default=0,
                        help="jump shift / relation level; default 0")
         if segment:
-            p.add_argument("--nodes", type=int, required=True,
+            p.add_argument("--nodes", type=natural, required=True,
                            help="node-count bound for the enumeration")
-            p.add_argument("--level", type=int, required=True,
+            p.add_argument("--level", type=natural, required=True,
                            help="nesting-level bound for the enumeration")
         p.add_argument("--format", choices=["text", "json", "dot"], default=None)
         p.set_defaults(handler=handler)
@@ -79,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("normalize", _cmd_normalize,
             "restrict grades below n, or into the window [n, n+m) with --m",
             term_arg=True)
-    p.add_argument("--m", type=int, default=None, help="window width")
+    p.add_argument("--m", type=natural, default=None, help="window width")
     add("level-subset", _cmd_level_subset,
         "inclusion verdict between two levels", forest_args=2)
     add("witness", _cmd_witness, "complete partition of a level, symbolically",
@@ -88,12 +95,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ordinal")
     p.add_argument("color", type=int)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--n", type=int, default=0)
+    p.add_argument("--n", type=natural, default=0)
     p.add_argument("--format", choices=["text", "json", "dot"], default=None)
     p.set_defaults(handler=_cmd_build_t)
-    add("enumerate", _cmd_enumerate, "quotient segment in the cache format",
+    add("enumerate", _cmd_segment, "quotient segment in the cache format",
         segment=True)
-    add("diagram", _cmd_diagram, "quotient segment as a DOT Hasse diagram",
+    add("diagram", _cmd_segment, "quotient segment as a DOT Hasse diagram",
         segment=True)
     return parser
 
@@ -229,17 +236,11 @@ def _cmd_build_t(args) -> CommandResult:
                          str(args.color), {"k": args.k, "n": args.n})
 
 
-def _cmd_enumerate(args) -> CommandResult:
+def _cmd_segment(args) -> CommandResult:
     seg = hierarchy.enumerate_segment(args.k, args.nodes, args.level)
-    return CommandResult(hierarchy.write_segment(seg).rstrip("\n"),
-                         params={"k": args.k, "nodes": args.nodes,
-                                 "level": args.level},
-                         multiline=True)
-
-
-def _cmd_diagram(args) -> CommandResult:
-    seg = hierarchy.enumerate_segment(args.k, args.nodes, args.level)
-    return CommandResult(hierarchy.hasse_dot(seg).rstrip("\n"),
+    write = (hierarchy.hasse_dot if args.command == "diagram"
+             else hierarchy.write_segment)
+    return CommandResult(write(seg).rstrip("\n"),
                          params={"k": args.k, "nodes": args.nodes,
                                  "level": args.level},
                          multiline=True)

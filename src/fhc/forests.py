@@ -7,12 +7,15 @@ or equal label.  This module decides that order two independent ways (a
 structural recursion and a brute-force search over node maps), minimizes
 forests within their equivalence class, and provides the join and sequential
 product that make the quotient a semilattice.
+
+All but ``join`` run on any trees with ``label``/``children`` (and
+``with_children``) in any forests with ``trees``: ``LTree`` and ``ITree``.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterator
 
 DEFAULT_ORACLE_BOUND = 10_000_000
@@ -63,11 +66,8 @@ class LTree:
     def size(self) -> int:
         return 1 + sum(c.size for c in self.children)
 
-    def nodes(self) -> Iterator["LTree"]:
-        """All subtree handles in preorder; one per node."""
-        yield self
-        for c in self.children:
-            yield from c.nodes()
+    def with_children(self, children: tuple["LTree", ...]) -> "LTree":
+        return LTree(self.label, children)
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,14 @@ def singleton(label: Any) -> LForest:
 # ---------------------------------------------------------------------------
 # The embedding order, decided by structural recursion.
 
-def _tree_leq(a: LTree, b: LTree, q: LabelPreorder, memo: dict) -> bool:
+def _nodes(t) -> Iterator:
+    """All subtrees of ``t`` in preorder; one per node."""
+    yield t
+    for c in t.children:
+        yield from _nodes(c)
+
+
+def _tree_leq(a, b, q: LabelPreorder, memo: dict) -> bool:
     key = (a, b)
     hit = memo.get(key)
     if hit is not None:
@@ -115,9 +122,9 @@ def _tree_leq(a: LTree, b: LTree, q: LabelPreorder, memo: dict) -> bool:
     if a_single and b_single:
         out = q.leq(a.label, b.label)
     elif a_single:
-        out = any(q.leq(a.label, n.label) for n in b.nodes())
+        out = any(q.leq(a.label, n.label) for n in _nodes(b))
     elif b_single:
-        out = all(q.leq(n.label, b.label) for n in a.nodes())
+        out = all(q.leq(n.label, b.label) for n in _nodes(a))
     elif q.leq(a.label, b.label):
         out = all(_tree_leq(c, b, q, memo) for c in a.children)
     else:
@@ -126,7 +133,7 @@ def _tree_leq(a: LTree, b: LTree, q: LabelPreorder, memo: dict) -> bool:
     return out
 
 
-def h_leq(a: LForest, b: LForest, q: LabelPreorder) -> bool:
+def h_leq(a, b, q: LabelPreorder) -> bool:
     """Decide whether ``a`` embeds into ``b`` over the label preorder ``q``.
 
     The empty forest is below everything; otherwise every tree of ``a`` must
@@ -138,7 +145,7 @@ def h_leq(a: LForest, b: LForest, q: LabelPreorder) -> bool:
     )
 
 
-def h_equiv(a: LForest, b: LForest, q: LabelPreorder) -> bool:
+def h_equiv(a, b, q: LabelPreorder) -> bool:
     return h_leq(a, b, q) and h_leq(b, a, q)
 
 
@@ -146,12 +153,12 @@ def h_equiv(a: LForest, b: LForest, q: LabelPreorder) -> bool:
 # The same order decided from the definition: search for a monotone,
 # label-respecting map of nodes.  Ground truth for the recursion above.
 
-def _flatten(f: LForest) -> tuple[list[Any], list[int]]:
+def _flatten(f) -> tuple[list[Any], list[int]]:
     """Preorder node labels and parent indices (-1 for roots of trees)."""
     labels: list[Any] = []
     parents: list[int] = []
 
-    def walk(t: LTree, parent: int) -> None:
+    def walk(t, parent: int) -> None:
         idx = len(labels)
         labels.append(t.label)
         parents.append(parent)
@@ -167,9 +174,7 @@ def oracle_bound() -> int:
     return int(os.environ.get(ORACLE_BOUND_ENV, DEFAULT_ORACLE_BOUND))
 
 
-def h_leq_oracle(
-    a: LForest, b: LForest, q: LabelPreorder, bound: int | None = None
-) -> bool:
+def h_leq_oracle(a, b, q: LabelPreorder, bound: int | None = None) -> bool:
     """Decide the embedding order by exhausting node maps from ``a`` to ``b``.
 
     Intended for small inputs; refuses when the map space ``|b| ** |a|``
@@ -181,9 +186,11 @@ def h_leq_oracle(
     b_labels, b_parents = _flatten(b)
     if not a_labels:
         return True
-    if len(b_labels) ** len(a_labels) > bound:
+    maps = len(b_labels) ** len(a_labels)
+    if maps > bound:
         raise OracleBoundError(
-            f"oracle too large: {len(b_labels)}**{len(a_labels)} maps"
+            f"oracle too large: {len(b_labels)}**{len(a_labels)} = {maps} maps"
+            f" exceed the bound {bound} ({ORACLE_BOUND_ENV})"
         )
     if not b_labels:
         return False
@@ -219,21 +226,23 @@ def h_leq_oracle(
 # ---------------------------------------------------------------------------
 # Minimization: the least-node-count representative of a class.
 
-def minimize(f: LForest, q: LabelPreorder) -> LForest:
+def minimize(f, q: LabelPreorder):
     """Return a forest of minimum node count equivalent to ``f``.
 
     Follows the standard recursion: dominated trees are dropped, nodes whose
     whole path from the root stays below the root label are spliced out, and
     a root covering its only child is removed.
     """
-    if f.size <= 1:
-        return f
-    if len(f.trees) > 1:
+    return replace(f, trees=_min_trees(f.trees, q))
+
+
+def _min_trees(trees: tuple, q: LabelPreorder) -> tuple:
+    if len(trees) > 1:
         memo: dict = {}
-        kept: list[LTree] = []
-        for i, t in enumerate(f.trees):
+        kept = []
+        for i, t in enumerate(trees):
             dominated = False
-            for j, u in enumerate(f.trees):
+            for j, u in enumerate(trees):
                 if i == j or not _tree_leq(t, u, q, memo):
                     continue
                 # strictly below, or a duplicate of an earlier tree
@@ -242,39 +251,38 @@ def minimize(f: LForest, q: LabelPreorder) -> LForest:
                     break
             if not dominated:
                 kept.append(t)
-        return LForest(tuple(_min_tree(t, q) for t in kept))
-    return LForest((_min_tree(f.trees[0], q),))
+        trees = kept
+    return tuple(_min_tree(t, q) for t in trees)
 
 
-def _min_tree(t: LTree, q: LabelPreorder) -> LTree:
+def _min_tree(t, q: LabelPreorder):
     if not t.children:
         return t
     root = t.label
-    t1 = LTree(root, minimize(LForest(t.children), q).trees)
-    t2 = LTree(root, tuple(_strip_dominated(t1, root, q)))
-    t3 = LTree(root, minimize(LForest(t2.children), q).trees)
-    if len(t3.children) == 1 and q.leq(root, t3.children[0].label):
-        return t3.children[0]
-    return t3
+    kids = _min_trees(t.children, q)
+    kids = _min_trees(tuple(_strip_dominated(kids, root, q)), q)
+    if len(kids) == 1 and q.leq(root, kids[0].label):
+        return kids[0]
+    return t.with_children(kids)
 
 
-def _strip_dominated(t: LTree, root: Any, q: LabelPreorder) -> Iterator[LTree]:
+def _strip_dominated(trees: tuple, root: Any, q: LabelPreorder) -> Iterator:
     # splice out every node reachable from the root through labels <= root
-    for c in t.children:
+    for c in trees:
         if q.leq(c.label, root):
-            yield from _strip_dominated(c, root, q)
+            yield from _strip_dominated(c.children, root, q)
         else:
             yield c
 
 
-def is_join_irreducible(f: LForest, q: LabelPreorder) -> bool:
+def is_join_irreducible(f, q: LabelPreorder) -> bool:
     """Whether ``f`` is not a join of two strictly smaller classes."""
     if f.is_empty():
         raise ValueError("bottom element: the empty forest is not join-irreducible")
     return len(minimize(f, q).trees) == 1
 
 
-def canonical_decomposition(f: LForest, q: LabelPreorder) -> tuple[LTree, ...]:
+def canonical_decomposition(f, q: LabelPreorder) -> tuple:
     """The pairwise incomparable minimal trees joining to ``f``.
 
     Empty for the empty forest (supremum of the empty family).
@@ -290,7 +298,7 @@ def join(f: LForest, g: LForest) -> LForest:
     return LForest(f.trees + g.trees)
 
 
-def seq_product(f: LForest, g: LForest) -> LForest:
+def seq_product(f, g):
     """Put a copy of ``g`` above every leaf of ``f``.
 
     An empty ``f`` acts as a single virtual leaf, so the bottom element is
@@ -299,9 +307,7 @@ def seq_product(f: LForest, g: LForest) -> LForest:
     if f.is_empty():
         return g
 
-    def graft(t: LTree) -> LTree:
-        if not t.children:
-            return LTree(t.label, g.trees)
-        return LTree(t.label, tuple(graft(c) for c in t.children))
+    def graft(t):
+        return t.with_children(tuple(graft(c) for c in t.children) or g.trees)
 
-    return LForest(tuple(graft(t) for t in f.trees))
+    return replace(f, trees=tuple(graft(t) for t in f.trees))

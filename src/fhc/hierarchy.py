@@ -156,14 +156,23 @@ def write_segment(seg: QuotientSegment) -> str:
 
 
 def read_segment(text: str) -> QuotientSegment:
+    """Parse the cache format; any malformed file raises ``ValueError``."""
     lines = text.splitlines()
     if not lines:
         raise ValueError("empty segment file")
     header = lines[0].split()
     if header[:2] != ["fhc-segment", "v1"]:
         raise ValueError(f"not a segment file: {lines[0]!r}")
-    params = dict(item.split("=", 1) for item in header[2:])
-    k = int(params["k"])
+    params = {}
+    for item in header[2:]:
+        key, eq, value = item.partition("=")
+        if not eq:
+            raise ValueError(f"segment header item without '=': {item!r}")
+        params[key] = value
+    try:
+        k, nodes, level = (int(params[key]) for key in ("k", "nodes", "level"))
+    except KeyError as exc:
+        raise ValueError(f"segment header lacks {exc.args[0]}=") from None
     classes: list[IForest] = []
     covers: list[tuple[int, int]] = []
     in_covers = False
@@ -174,11 +183,13 @@ def read_segment(text: str) -> QuotientSegment:
             in_covers = True
             continue
         if in_covers:
-            lo, hi = line.split()
-            covers.append((int(lo), int(hi)))
+            try:
+                lo, hi = map(int, line.split())
+            except ValueError:
+                raise ValueError(f"cover line is not two indices: {line!r}") from None
+            if min(lo, hi) < 0 or max(lo, hi) >= len(classes):
+                raise ValueError(f"cover {line!r} names no class of {len(classes)}")
+            covers.append((lo, hi))
         else:
             classes.append(notation.parse_forest(line, k))
-    return QuotientSegment(
-        k, int(params["nodes"]), int(params["level"]),
-        tuple(classes), tuple(covers),
-    )
+    return QuotientSegment(k, nodes, level, tuple(classes), tuple(covers))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import forests
-from .forests import LabelPreorder, LForest, LTree
+from .forests import LabelPreorder
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,9 @@ class ITree:
         if self.level == 0:
             return 1
         return self.label.size + sum(c.size for c in self.children)
+
+    def with_children(self, children: tuple["ITree", ...]) -> "ITree":
+        return ITree(self.level, self.label, children)
 
 
 @dataclass(frozen=True)
@@ -177,30 +180,11 @@ def unlift(f: IForest) -> IForest:
 # label preorder one level down (down to color equality at the bottom).
 
 @lru_cache(maxsize=None)
-def _as_ltree(t: ITree) -> LTree:
-    return LTree(t.label, tuple(_as_ltree(c) for c in t.children))
-
-
-def _as_lforest(f: IForest) -> LForest:
-    return LForest(tuple(_as_ltree(t) for t in f.trees))
-
-
-def _from_ltree(t: LTree, level: int) -> ITree:
-    return ITree(level, t.label, tuple(_from_ltree(c, level) for c in t.children))
-
-
-def _from_lforest(f: LForest, level: int) -> IForest:
-    return IForest(level, tuple(_from_ltree(t, level) for t in f.trees))
-
-
-@lru_cache(maxsize=None)
 def tree_leq0(a: ITree, b: ITree) -> bool:
     """The embedding order on two trees of the same level."""
     if a.level == 0:
         return a.label == b.label
-    return forests.h_leq(
-        LForest((_as_ltree(a),)), LForest((_as_ltree(b),)), LABEL_ORDER
-    )
+    return forests.h_leq(singleton(a), singleton(b), LABEL_ORDER)
 
 
 #: iterated trees compared by the embedding order of their own level;
@@ -208,14 +192,21 @@ def tree_leq0(a: ITree, b: ITree) -> bool:
 LABEL_ORDER = LabelPreorder(tree_leq0, "iterated trees")
 
 
-@lru_cache(maxsize=None)
-def forest_leq0(a: IForest, b: IForest) -> bool:
+def _aligned(a: IForest, b: IForest, n: int) -> tuple[IForest, IForest]:
+    """Lift both forests to a common level, then ``r_drop`` both ``n`` times."""
     p = max(a.level, b.level)
     a, b = lift(a, p), lift(b, p)
-    if p == 0:
-        present = {t.label for t in b.trees}
-        return all(t.label in present for t in a.trees)
-    return forests.h_leq(_as_lforest(a), _as_lforest(b), LABEL_ORDER)
+    for _ in range(n):
+        a, b = r_drop(a), r_drop(b)
+    return a, b
+
+
+@lru_cache(maxsize=None)
+def forest_leq0(a: IForest, b: IForest) -> bool:
+    a, b = _aligned(a, b, 0)
+    if a.level == 0:
+        return set(a.trees) <= set(b.trees)
+    return forests.h_leq(a, b, LABEL_ORDER)
 
 
 def colim_leq(a: IForest, b: IForest, n: int = 0) -> bool:
@@ -224,11 +215,7 @@ def colim_leq(a: IForest, b: IForest, n: int = 0) -> bool:
     ``<=^0`` is the embedding order after lifting to a common level;
     ``<=^(n+1)`` compares the ``r_drop`` images at ``n``.
     """
-    p = max(a.level, b.level)
-    a, b = lift(a, p), lift(b, p)
-    for _ in range(n):
-        a, b = r_drop(a), r_drop(b)
-    return forest_leq0(a, b)
+    return forest_leq0(*_aligned(a, b, n))
 
 
 def colim_equiv(a: IForest, b: IForest, n: int = 0) -> bool:
@@ -239,14 +226,10 @@ def colim_leq_oracle(
     a: IForest, b: IForest, n: int = 0, bound: int | None = None
 ) -> bool:
     """``colim_leq`` decided by the brute-force map search; small inputs only."""
-    p = max(a.level, b.level)
-    a, b = lift(a, p), lift(b, p)
-    for _ in range(n):
-        a, b = r_drop(a), r_drop(b)
-    if max(a.level, b.level) == 0:
-        present = {t.label for t in b.trees}
-        return all(t.label in present for t in a.trees)
-    return forests.h_leq_oracle(_as_lforest(a), _as_lforest(b), LABEL_ORDER, bound)
+    a, b = _aligned(a, b, n)
+    if a.level == 0:
+        return set(a.trees) <= set(b.trees)
+    return forests.h_leq_oracle(a, b, LABEL_ORDER, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +272,7 @@ def dot_p(f: IForest, g: IForest, p: int = 0) -> IForest:
     if p > 0:
         return s_lift(dot_p(r_drop(f), r_drop(g), p - 1))
     level = max(f.level, g.level, 1)
-    f, g = lift(f, level), lift(g, level)
-    return _from_lforest(
-        forests.seq_product(_as_lforest(f), _as_lforest(g)), level
-    )
+    return forests.seq_product(lift(f, level), lift(g, level))
 
 
 # ---------------------------------------------------------------------------
@@ -304,26 +284,15 @@ def iminimize(f: IForest) -> IForest:
         seen: set[int] = set()
         kept = [t for t in f.trees if not (t.label in seen or seen.add(t.label))]
         return IForest(0, tuple(kept))
-    shape = forests.minimize(_as_lforest(f), LABEL_ORDER)
-    return IForest(
-        f.level, tuple(_imin_labels(t, f.level) for t in shape.trees)
-    )
+    shape = forests.minimize(f, LABEL_ORDER)
+    return IForest(f.level, tuple(_imin_labels(t) for t in shape.trees))
 
 
-def _imin_labels(t: LTree, level: int) -> ITree:
-    return ITree(
-        level,
-        _imin_tree(t.label),
-        tuple(_imin_labels(c, level) for c in t.children),
-    )
-
-
-def _imin_tree(t: ITree) -> ITree:
-    if t.level == 0:
-        return t
-    m = iminimize(singleton(t))
-    assert len(m.trees) == 1  # minimizing a tree yields a tree
-    return m.trees[0]
+def _imin_labels(t: ITree) -> ITree:
+    label = t.label
+    if label.level > 0:
+        (label,) = iminimize(singleton(label)).trees  # a tree minimizes to a tree
+    return ITree(t.level, label, tuple(_imin_labels(c) for c in t.children))
 
 
 @lru_cache(maxsize=None)

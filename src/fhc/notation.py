@@ -18,7 +18,6 @@ identically, byte for byte.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from . import iterated
 from .iterated import IForest, ITree
@@ -35,21 +34,6 @@ class ParseError(ValueError):
 
 # ---------------------------------------------------------------------------
 # Forest text.
-
-@dataclass(frozen=True)
-class TreeExpr:
-    """Parsed tree node before level resolution."""
-
-    label: "int | TreeExpr"
-    children: tuple["TreeExpr | int", ...] = ()
-
-
-@dataclass(frozen=True)
-class ForestExpr:
-    """Parsed forest literal before level resolution."""
-
-    trees: tuple["TreeExpr | int", ...]
-
 
 _FOREST_TOKEN = re.compile(r"\s*(\d+|[\[\]{}:,])")
 
@@ -93,66 +77,56 @@ class _Tokens:
 
 
 def parse_forest(text: str, k: int | None = 2) -> IForest:
-    """Parse forest text; colors must stay below ``k`` (None = unbounded)."""
+    """Parse forest text; colors must stay below ``k`` (None = unbounded).
+
+    Syntax errors take precedence over out-of-range colors; of those, the
+    first in text order is reported.
+    """
     tokens = _Tokens(text, _FOREST_TOKEN)
-    expr = _parse_forest_expr(tokens)
-    if tokens.peek() is not None:
-        raise ParseError(f"trailing input {tokens.peek()!r}", tokens.position())
-    return _resolve_forest(expr, k)
-
-
-def _parse_forest_expr(tokens: _Tokens) -> ForestExpr:
+    colors: list[int] = []  # every color read, in text order
     if tokens.peek() == "{":
         tokens.take("{")
-        trees: list[TreeExpr | int] = []
-        if tokens.peek() != "}":
-            trees.append(_parse_tree_expr(tokens))
-            while tokens.peek() == ",":
-                tokens.take(",")
-                trees.append(_parse_tree_expr(tokens))
+        trees = _parse_trees(tokens, "}", colors)
         tokens.take("}")
-        return ForestExpr(tuple(trees))
-    return ForestExpr((_parse_tree_expr(tokens),))
+    else:
+        trees = [_parse_tree(tokens, colors)]
+    if tokens.peek() is not None:
+        raise ParseError(f"trailing input {tokens.peek()!r}", tokens.position())
+    bad = [c for c in colors if k is not None and c >= k]
+    if bad:
+        raise ValueError(f"color {bad[0]} outside alphabet of size {k}")
+    level = max((t.level for t in trees), default=0)
+    return IForest(level, tuple(iterated.lift_tree(t, level) for t in trees))
 
 
-def _parse_tree_expr(tokens: _Tokens) -> "TreeExpr | int":
+def _parse_trees(tokens: _Tokens, close: str, colors: list[int]) -> list[ITree]:
+    """Comma-separated trees up to (not including) ``close``; may be none."""
+    trees: list[ITree] = []
+    if tokens.peek() != close:
+        trees.append(_parse_tree(tokens, colors))
+        while tokens.peek() == ",":
+            tokens.take(",")
+            trees.append(_parse_tree(tokens, colors))
+    return trees
+
+
+def _parse_tree(tokens: _Tokens, colors: list[int]) -> ITree:
     tok = tokens.peek()
     if tok is None:
         raise ParseError("expected a tree", tokens.position())
     if tok.isdigit():
         tokens.take()
-        return int(tok)
+        colors.append(int(tok))
+        return iterated.color(int(tok))
     if tok != "[":
         raise ParseError(f"expected a tree, got {tok!r}", tokens.position())
     tokens.take("[")
-    label = _parse_tree_expr(tokens)
-    children: list[TreeExpr | int] = []
+    label = _parse_tree(tokens, colors)
+    children: list[ITree] = []
     if tokens.peek() == ":":
         tokens.take(":")
-        if tokens.peek() != "]":
-            children.append(_parse_tree_expr(tokens))
-            while tokens.peek() == ",":
-                tokens.take(",")
-                children.append(_parse_tree_expr(tokens))
+        children = _parse_trees(tokens, "]", colors)
     tokens.take("]")
-    return TreeExpr(label, tuple(children))  # type: ignore[arg-type]
-
-
-def _resolve_forest(expr: ForestExpr, k: int | None) -> IForest:
-    if not expr.trees:
-        return IForest(0)
-    trees = [_resolve_tree(t, k) for t in expr.trees]
-    level = max(t.level for t in trees)
-    return IForest(level, tuple(iterated.lift_tree(t, level) for t in trees))
-
-
-def _resolve_tree(expr: "TreeExpr | int", k: int | None) -> ITree:
-    if isinstance(expr, int):
-        if k is not None and expr >= k:
-            raise ValueError(f"color {expr} outside alphabet of size {k}")
-        return iterated.color(expr)
-    label = _resolve_tree(expr.label, k)
-    children = [_resolve_tree(c, k) for c in expr.children]
     level = max([label.level + 1] + [c.level for c in children])
     return ITree(
         level,
@@ -162,8 +136,7 @@ def _resolve_tree(expr: "TreeExpr | int", k: int | None) -> ITree:
 
 
 def serialize_tree(t: ITree) -> str:
-    t = iterated.canonical_tree(t)
-    return _tree_text(t)
+    return _tree_text(iterated.canonical_tree(t))
 
 
 def _tree_text(t: ITree) -> str:

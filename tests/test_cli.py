@@ -6,6 +6,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from fhc.cli import main
 
 
@@ -127,11 +129,49 @@ class TestExitCodes:
         proc = run("cmp", "[0:[1:]]", "[1:[0:]]", "--oracle", env=env)
         assert proc.returncode == 2
         assert "oracle too large" in proc.stderr
+        # the refusal names the requested size, the bound and the guard
+        assert proc.stderr == (
+            "error: oracle too large: 2**2 = 4 maps exceed the bound 1"
+            " (FHC_ORACLE_BOUND)\n"
+        )
 
     def test_segment_guard(self):
         proc = run("enumerate", "--k", "9", "--nodes", "9", "--level", "3")
         assert proc.returncode == 2
         assert "segment too large" in proc.stderr
+
+
+class TestNegativeBounds:
+    @pytest.mark.parametrize("argv, flag, value", [
+        (("enumerate", "--nodes", "-1", "--level", "1"), "--nodes", "-1"),
+        (("enumerate", "--nodes", "1", "--level", "-1"), "--level", "-1"),
+        (("diagram", "--nodes", "-2", "--level", "1"), "--nodes", "-2"),
+        (("cmp", "0", "1", "--n", "-1"), "--n", "-1"),
+        (("witness", "0", "--n", "-1"), "--n", "-1"),
+        (("build-T", "w", "0", "--n", "-1"), "--n", "-1"),
+        (("normalize", "(1 .0 0)", "--n", "1", "--m", "-1"), "--m", "-1"),
+    ])
+    def test_rejected_with_exit_1(self, capsys, argv, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert exc.value.code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"error: argument {flag}: must be non-negative, got {value}"
+        )
+
+    def test_zero_still_accepted(self, capsys):
+        code, out = capture(capsys, "enumerate", "--nodes", "0", "--level", "0")
+        assert code == 0 and out.splitlines() == [
+            "fhc-segment v1 k=2 nodes=0 level=0", "{}", "covers:",
+        ]
+
+    def test_non_integer_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cmp", "0", "1", "--n", "x"])
+        assert exc.value.code == 1
+        assert "invalid natural value: 'x'" in capsys.readouterr().err
 
 
 class TestDeterminism:

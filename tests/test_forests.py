@@ -90,6 +90,13 @@ class TestOracle:
         with pytest.raises(OracleBoundError):
             h_leq_oracle(big, big, ANTICHAIN, bound=10)
 
+    def test_bound_refusal_names_size_and_bound(self):
+        with pytest.raises(OracleBoundError) as err:
+            h_leq_oracle(CHAIN01, CHAIN01, ANTICHAIN, bound=1)
+        assert str(err.value) == (
+            "oracle too large: 2**2 = 4 maps exceed the bound 1 (FHC_ORACLE_BOUND)"
+        )
+
     def test_exhaustive_agreement_small(self):
         fs = all_lforests(2, 3)
         for a, b in itertools.product(fs, fs):

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -27,52 +27,53 @@ from fhc.cli import main
 
 FIXTURE = Path(__file__).with_name("golden_cli.json")
 
-#: (argv without --format, extra environment)
+#: argv without --format; each runs in every format
 _COMMANDS = [
-    (("cmp", "{0,1}", "[0:[1:]]"), {}),
-    (("cmp", "0", "1"), {}),
-    (("cmp", "{}", "{0,0}"), {}),
-    (("cmp", "[[0:[1]]:[0]]", "{[1:[0]],[[0]:[1]]}", "--n", "1"), {}),
-    (("cmp", "{0,[1:[0]]}", "[[1]:[[0:[1]]]]", "--k", "3", "--n", "2"), {}),
-    (("cmp", "[5:[7]]", "{5,7}", "--k", "0"), {}),
-    (("cmp", "[0:[1:]]", "{0,1}", "--oracle"), {}),
-    (("cmp", "[[0:[1]]:[[1]]]", "{[[1:[0]]],[[0]]}", "--oracle", "--n", "1"), {}),
-    (("min", "{[0:[0],[1]]}"), {}),
-    (("min", "{}"), {}),
-    (("min", "{0,0,1}"), {}),
-    (("min", "{[[0:[1]]:[[0]],[[1:[0]]]],[0:[1]]}"), {}),
-    (("min", "[[[0:[1]]:[[1]]]]", "--k", "3"), {}),
-    (("decompose", "{0,0,1}"), {}),
-    (("decompose", "{[0:[1]],[1],[[0]:[[1]]]}"), {}),
-    (("decompose", "{}"), {}),
-    (("encode", "[0:[1:]]"), {}),
-    (("encode", "{[[0:[1]]:[[1]]],0}", "--n", "1"), {}),
-    (("eval", "(0 .0 1)"), {}),
-    (("eval", "((0+1) .1 (1 .0 0))"), {}),
-    (("eval", "G(0,1,G(1,0,0))"), {}),
-    (("g2s", "G(0,1,0)"), {}),
-    (("g2s", "G(G(0,1,0),1,G(1,0,1))"), {}),
-    (("s2g", "(1 .0 0)"), {}),
-    (("s2g", "((0 .1 1) .0 (1+0))"), {}),
-    (("jump-height", "G(0,1,G(0,1,0))"), {}),
-    (("jump-height", "((0 .2 1) .0 1)"), {}),
-    (("normalize", "(1 .0 0)", "--n", "1", "--m", "2"), {}),
-    (("normalize", "((0 .2 0) .0 1)", "--n", "1"), {}),
-    (("normalize", "((0 .3 1) .1 (0 .2 1))", "--n", "2", "--m", "2"), {}),
-    (("level-subset", "{0,1}", "[0:[1:]]"), {}),
-    (("level-subset", "[0:[1]]", "[1:[0]]"), {}),
-    (("level-subset", "[[0]:[[1]]]", "{[0:[1]],[1:[0]]}"), {}),
-    (("witness", "[0:[1:]]"), {}),
-    (("witness", "{[[0:[1]]],1}", "--n", "1"), {}),
-    (("build-T", "w", "0"), {}),
-    (("build-T", "w^2*2+w+3", "1"), {}),
-    (("build-T", "w+1", "1", "--n", "1"), {}),
-    (("enumerate", "--k", "2", "--nodes", "3", "--level", "2"), {}),
-    (("enumerate", "--k", "3", "--nodes", "2", "--level", "1"), {}),
-    (("diagram", "--k", "2", "--nodes", "3", "--level", "2"), {}),
-    (("diagram", "--k", "3", "--nodes", "2", "--level", "1"), {}),
+    ("cmp", "{0,1}", "[0:[1:]]"),
+    ("cmp", "0", "1"),
+    ("cmp", "{}", "{0,0}"),
+    ("cmp", "[[0:[1]]:[0]]", "{[1:[0]],[[0]:[1]]}", "--n", "1"),
+    ("cmp", "{0,[1:[0]]}", "[[1]:[[0:[1]]]]", "--k", "3", "--n", "2"),
+    ("cmp", "[5:[7]]", "{5,7}", "--k", "0"),
+    ("cmp", "[0:[1:]]", "{0,1}", "--oracle"),
+    ("cmp", "[[0:[1]]:[[1]]]", "{[[1:[0]]],[[0]]}", "--oracle", "--n", "1"),
+    ("min", "{[0:[0],[1]]}"),
+    ("min", "{}"),
+    ("min", "{0,0,1}"),
+    ("min", "{[[0:[1]]:[[0]],[[1:[0]]]],[0:[1]]}"),
+    ("min", "[[[0:[1]]:[[1]]]]", "--k", "3"),
+    ("decompose", "{0,0,1}"),
+    ("decompose", "{[0:[1]],[1],[[0]:[[1]]]}"),
+    ("decompose", "{}"),
+    ("encode", "[0:[1:]]"),
+    ("encode", "{[[0:[1]]:[[1]]],0}", "--n", "1"),
+    ("eval", "(0 .0 1)"),
+    ("eval", "((0+1) .1 (1 .0 0))"),
+    ("eval", "G(0,1,G(1,0,0))"),
+    ("g2s", "G(0,1,0)"),
+    ("g2s", "G(G(0,1,0),1,G(1,0,1))"),
+    ("s2g", "(1 .0 0)"),
+    ("s2g", "((0 .1 1) .0 (1+0))"),
+    ("jump-height", "G(0,1,G(0,1,0))"),
+    ("jump-height", "((0 .2 1) .0 1)"),
+    ("normalize", "(1 .0 0)", "--n", "1", "--m", "2"),
+    ("normalize", "((0 .2 0) .0 1)", "--n", "1"),
+    ("normalize", "((0 .3 1) .1 (0 .2 1))", "--n", "2", "--m", "2"),
+    ("level-subset", "{0,1}", "[0:[1:]]"),
+    ("level-subset", "[0:[1]]", "[1:[0]]"),
+    ("level-subset", "[[0]:[[1]]]", "{[0:[1]],[1:[0]]}"),
+    ("witness", "[0:[1:]]"),
+    ("witness", "{[[0:[1]]],1}", "--n", "1"),
+    ("build-T", "w", "0"),
+    ("build-T", "w^2*2+w+3", "1"),
+    ("build-T", "w+1", "1", "--n", "1"),
+    ("enumerate", "--k", "2", "--nodes", "3", "--level", "2"),
+    ("enumerate", "--k", "3", "--nodes", "2", "--level", "1"),
+    ("diagram", "--k", "2", "--nodes", "3", "--level", "2"),
+    ("diagram", "--k", "3", "--nodes", "2", "--level", "1"),
 ]
 
+#: (argv, extra environment) of the error paths, in the default format
 _ERRORS = [
     (("min", "{0,]"), {}),
     (("cmp", "[2:]", "0", "--k", "2"), {}),
@@ -86,29 +87,23 @@ _ERRORS = [
 
 def invocations() -> list[tuple[tuple[str, ...], dict[str, str]]]:
     out = []
-    for argv, env in _COMMANDS:
+    for argv in _COMMANDS:
         formats = ["text", "json"] + (["dot"] if argv[0] == "diagram" else [])
-        out.extend(((*argv, "--format", fmt), env) for fmt in formats)
+        out.extend(((*argv, "--format", fmt), {}) for fmt in formats)
     return out + _ERRORS
 
 
 def invoke(argv, env) -> tuple[int, str]:
     """Run ``fhc`` in this process; returns (exit code, stdout)."""
-    saved = {key: os.environ.get(key) for key in env}
-    os.environ.update(env)
+    # the caller's FHC_* settings would change the outputs
+    base = {k: v for k, v in os.environ.items() if not k.startswith("FHC_")}
     out = StringIO()
-    try:
-        with redirect_stdout(out), redirect_stderr(StringIO()):
-            try:
-                code = main(list(argv))
-            except SystemExit as exc:
-                code = exc.code
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+    with mock.patch.dict(os.environ, {**base, **env}, clear=True), \
+            redirect_stdout(out), redirect_stderr(StringIO()):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse refusals exit from inside main
+            code = exc.code
     return code, out.getvalue()
 
 
@@ -138,4 +133,3 @@ def record() -> None:
 
 if __name__ == "__main__":
     record()
-    sys.exit(0)

@@ -169,3 +169,25 @@ class TestSegmentFile:
     def test_rejects_foreign_text(self):
         with pytest.raises(ValueError, match="not a segment file"):
             read_segment("digraph segment {}\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("fhc-segment v1 nodes=1 level=1\n{}\ncovers:\n", "lacks k="),
+        ("fhc-segment v1 k=2 level=1\n{}\ncovers:\n", "lacks nodes="),
+        ("fhc-segment v1 k=2 nodes=1 level=1 x\n{}\ncovers:\n",
+         "header item without '=': 'x'"),
+        ("fhc-segment v1 k=2 nodes=1 level=1\n{}\n{0}\ncovers:\n0\n",
+         "cover line is not two indices: '0'"),
+        ("fhc-segment v1 k=2 nodes=1 level=1\n{}\n{0}\ncovers:\n0 1 2\n",
+         "cover line is not two indices"),
+        ("fhc-segment v1 k=2 nodes=1 level=1\n{}\n{0}\ncovers:\n0 x\n",
+         "cover line is not two indices"),
+        ("fhc-segment v1 k=2 nodes=1 level=1\n{}\ncovers:\n0 7\n",
+         "cover '0 7' names no class of 1"),
+        ("fhc-segment v1 k=2 nodes=1 level=1\n{}\n{0}\ncovers:\n-1 0\n",
+         "names no class of 2"),
+    ])
+    def test_malformed_file_raises_value_error(self, text, message):
+        with pytest.raises(ValueError) as err:
+            read_segment(text)
+        assert type(err.value) is ValueError
+        assert message in str(err.value)
