@@ -3,7 +3,9 @@
 Every command is deterministic: identical invocations print identical
 bytes.  Exit status is 0 for success, 1 for a user error (bad syntax,
 unknown flag, out-of-range color), 2 when a resource guard refuses the
-computation (FHC_ORACLE_BOUND overrides the brute-force map-search guard).
+computation (FHC_ORACLE_BOUND overrides the brute-force map-search guard;
+input nested deeper than the Python recursion limit is refused too).  Every
+error is one line on stderr.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ class CommandResult:
 class _Parser(argparse.ArgumentParser):
     # usage problems are user errors: exit 1, not argparse's default 2
     def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
@@ -266,6 +267,10 @@ def main(argv: list[str] | None = None) -> int:
         print(_render(result, args.format, args.command))
     except (OracleBoundError, SegmentBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nests too deeply (Python recursion limit"
+              f" {sys.getrecursionlimit()})", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -113,7 +113,6 @@ def singleton(t: ITree) -> IForest:
 # ---------------------------------------------------------------------------
 # Lifting between levels.
 
-@lru_cache(maxsize=None)
 def _lift_one(t: ITree) -> ITree:
     if t.level == 0:
         # a color lifts to the singleton tree it labels
@@ -135,10 +134,11 @@ def lift(f: IForest, target: int) -> IForest:
     """Embed ``f`` at a higher level without changing its class."""
     if target < f.level:
         raise ValueError("cannot lower level by lifting")
+    if target == f.level:
+        return f
     return IForest(target, tuple(lift_tree(t, target) for t in f.trees))
 
 
-@lru_cache(maxsize=None)
 def _unlift_tree(t: ITree) -> "ITree | None":
     """Invert the one-step lifting where possible, else None."""
     if t.level == 0:
@@ -182,14 +182,17 @@ def unlift(f: IForest) -> IForest:
 @lru_cache(maxsize=None)
 def tree_leq0(a: ITree, b: ITree) -> bool:
     """The embedding order on two trees of the same level."""
-    if a.level == 0:
-        return a.label == b.label
     return forests.h_leq(singleton(a), singleton(b), LABEL_ORDER)
 
 
-#: iterated trees compared by the embedding order of their own level;
-#: serves as the label preorder one level up
-LABEL_ORDER = LabelPreorder(tree_leq0, "iterated trees")
+def _label_leq(a: "int | ITree", b: "int | ITree") -> bool:
+    # colors, the labels of level-0 trees, are the bottom: equality
+    return a == b if isinstance(a, int) else tree_leq0(a, b)
+
+
+#: colors by equality, iterated trees by the embedding order of their own
+#: level; the label preorder of every level
+LABEL_ORDER = LabelPreorder(_label_leq, "colors and iterated trees")
 
 
 def _aligned(a: IForest, b: IForest, n: int) -> tuple[IForest, IForest]:
@@ -203,9 +206,7 @@ def _aligned(a: IForest, b: IForest, n: int) -> tuple[IForest, IForest]:
 
 @lru_cache(maxsize=None)
 def forest_leq0(a: IForest, b: IForest) -> bool:
-    a, b = _aligned(a, b, 0)
-    if a.level == 0:
-        return set(a.trees) <= set(b.trees)
+    """The embedding order on two forests of the same level."""
     return forests.h_leq(a, b, LABEL_ORDER)
 
 
@@ -244,16 +245,9 @@ def r_drop(f: IForest) -> IForest:
     """Join all node labels one level down; fixes level-0 forests."""
     if f.level == 0:
         return f
-    labels: list[ITree] = []
-
-    def collect(t: ITree) -> None:
-        labels.append(t.label)
-        for c in t.children:
-            collect(c)
-
-    for t in f.trees:
-        collect(t)
-    return IForest(f.level - 1, tuple(labels))
+    return IForest(
+        f.level - 1, tuple(n.label for t in f.trees for n in forests._nodes(t))
+    )
 
 
 def join(f: IForest, g: IForest) -> IForest:
@@ -280,18 +274,14 @@ def dot_p(f: IForest, g: IForest, p: int = 0) -> IForest:
 
 def iminimize(f: IForest) -> IForest:
     """The least representative: minimal as a forest, labels minimal too."""
-    if f.level == 0:
-        seen: set[int] = set()
-        kept = [t for t in f.trees if not (t.label in seen or seen.add(t.label))]
-        return IForest(0, tuple(kept))
     shape = forests.minimize(f, LABEL_ORDER)
     return IForest(f.level, tuple(_imin_labels(t) for t in shape.trees))
 
 
 def _imin_labels(t: ITree) -> ITree:
-    label = t.label
-    if label.level > 0:
-        (label,) = iminimize(singleton(label)).trees  # a tree minimizes to a tree
+    if t.level <= 1:
+        return t  # every label is a color, already least
+    (label,) = iminimize(singleton(t.label)).trees  # a tree minimizes to a tree
     return ITree(t.level, label, tuple(_imin_labels(c) for c in t.children))
 
 
@@ -315,7 +305,6 @@ def canonical(f: IForest) -> IForest:
     )))
 
 
-@lru_cache(maxsize=None)
 def canonical_tree(t: ITree) -> ITree:
     if t.level == 0:
         return t

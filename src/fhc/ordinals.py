@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import total_ordering
+from functools import reduce, total_ordering
 
 from . import iterated
 from .iterated import IForest
@@ -246,27 +246,18 @@ def build_t(alpha: Ordinal, i: int, n: int, k: int) -> IForest:
             out = iterated.color_forest(col)
         else:
             beta, gamma = peel_last(a)
-            everyone = None
             if gamma.is_zero():
                 # successor: col stacked over the join of all lower levels
-                everyone = _join_all(rec(beta, j, grade) for j in range(k))
+                everyone = reduce(iterated.join, [rec(beta, j, grade) for j in range(k)])
                 out = iterated.dot_p(iterated.color_forest(col), everyone, grade)
             elif beta.is_zero():
                 # a pure power of omega recurses into the exponent, one grade up
                 out = rec(gamma, col, grade + 1)
             else:
-                everyone = _join_all(rec(beta, j, grade) for j in range(k))
+                everyone = reduce(iterated.join, [rec(beta, j, grade) for j in range(k)])
                 head = rec(omega_pow(gamma), col, grade)
                 out = iterated.dot_p(head, everyone, grade)
         memo[key] = out
         return out
 
     return rec(alpha, i, n)
-
-
-def _join_all(parts) -> IForest:
-    out = None
-    for p in parts:
-        out = p if out is None else iterated.join(out, p)
-    assert out is not None
-    return out

@@ -3,55 +3,25 @@
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 
 from fhc.forests import LForest, LTree
 from fhc import iterated
 
 
-def ltree_key(t: LTree):
-    return (t.label, tuple(sorted(ltree_key(c) for c in t.children)))
-
-
-@lru_cache(maxsize=None)
-def all_ltrees(k: int, size: int) -> tuple[LTree, ...]:
-    """Canonical int-labeled trees with exactly ``size`` nodes, sorted."""
-    if size < 1:
-        return ()
-    out = []
-    for label in range(k):
-        for ch in _child_tuples(k, size - 1):
-            out.append(LTree(label, ch))
-    return tuple(sorted(out, key=ltree_key))
-
-
-@lru_cache(maxsize=None)
-def _child_tuples(k: int, total: int) -> tuple[tuple[LTree, ...], ...]:
-    """Key-sorted tree tuples with node counts summing to exactly ``total``."""
-    pool = [t for s in range(1, total + 1) for t in all_ltrees(k, s)]
-    out: list[tuple[LTree, ...]] = []
-
-    def rec(start: int, remaining: int, acc: list[LTree]) -> None:
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for i in range(start, len(pool)):
-            t = pool[i]
-            if t.size <= remaining:
-                acc.append(t)
-                rec(i, remaining - t.size, acc)
-                acc.pop()
-
-    rec(0, total, [])
-    return tuple(out)
-
-
 def all_lforests(k: int, max_nodes: int) -> list[LForest]:
-    """Every canonical forest with at most ``max_nodes`` nodes, incl. empty."""
-    out = [LForest(())]
-    for size in range(1, max_nodes + 1):
-        out.extend(LForest(ch) for ch in _child_tuples(k, size))
-    return out
+    """Every canonical forest with at most ``max_nodes`` nodes, incl. empty.
+
+    The level-1 forests of ``iterated.enumerate_forests``, colors read as ints.
+    """
+    return [
+        LForest(tuple(_ltree(t) for t in f.trees))
+        for f in iterated.enumerate_forests(k, max_nodes, 1)
+        if f.level == 1 or f.is_empty()
+    ]
+
+
+def _ltree(t: iterated.ITree) -> LTree:
+    return LTree(t.label.label, tuple(_ltree(c) for c in t.children))
 
 
 def random_iforest(

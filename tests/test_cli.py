@@ -111,7 +111,9 @@ class TestExitCodes:
     def test_unknown_command(self):
         proc = run("frobnicate")
         assert proc.returncode == 1
-        assert "usage" in proc.stderr
+        # one line, no argparse usage lines before it
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: argument command: invalid choice")
 
     def test_user_error(self, capsys):
         assert capture(capsys, "cmp", "[2:]", "0", "--k", "2")[0] == 1
@@ -141,6 +143,22 @@ class TestExitCodes:
         assert "segment too large" in proc.stderr
 
 
+class TestDeepInput:
+    """Nesting past the recursion limit is refused, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ("min", "[" * 500 + "0" + "]" * 500),
+        ("cmp", "[0:" * 299 + "[1]" + "]" * 299, "[0:" * 299 + "[0]" + "]" * 299),
+    ], ids=["min-500-brackets", "cmp-300-chains"])
+    def test_refused_with_exit_2(self, argv):
+        proc = run(*argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: input nests too deeply (Python recursion limit 1000)\n"
+        )
+
+
 class TestNegativeBounds:
     @pytest.mark.parametrize("argv, flag, value", [
         (("enumerate", "--nodes", "-1", "--level", "1"), "--nodes", "-1"),
@@ -157,8 +175,8 @@ class TestNegativeBounds:
         captured = capsys.readouterr()
         assert exc.value.code == 1
         assert captured.out == ""
-        assert captured.err.splitlines()[-1] == (
-            f"error: argument {flag}: must be non-negative, got {value}"
+        assert captured.err == (
+            f"error: argument {flag}: must be non-negative, got {value}\n"
         )
 
     def test_zero_still_accepted(self, capsys):

@@ -232,6 +232,26 @@ class TestJoinSemilattice:
                     assert colim_leq(join(a, b), c, n)
 
 
+#: every color sequence of up to 4 trees over 3 colors, as level-0 forests
+COLOR_SEQUENCES = [
+    color_forest(*cs) for n in range(5) for cs in itertools.product(range(3), repeat=n)
+]
+
+
+class TestColorsAtTheBottom:
+    """Level 0 runs through the generic order and minimizer, like any level."""
+
+    def test_order_is_set_inclusion(self):
+        for a, b in itertools.product(COLOR_SEQUENCES, repeat=2):
+            expected = {t.label for t in a.trees} <= {t.label for t in b.trees}
+            assert colim_leq(a, b, 0) == expected, (a, b)
+
+    def test_iminimize_keeps_first_occurrences(self):
+        for f in COLOR_SEQUENCES:
+            labels = [t.label for t in f.trees]
+            assert iminimize(f) == color_forest(*dict.fromkeys(labels)), f
+
+
 class TestIMinimize:
     def test_dedupes_colors(self):
         assert iminimize(color_forest(0, 0)) == color_forest(0)
@@ -253,13 +273,12 @@ class TestIMinimize:
 
     def test_minimal_equivalents_are_isomorphic(self):
         # justifies using canonical(unlift(iminimize(.))) as the class
-        # representative: unique up to child order and lifting
-        fs = enumerate_forests(2, 3, 1)
-        for a, b in itertools.combinations(fs, 2):
-            if colim_equiv(a, b, 0):
-                ra = canonical(unlift(iminimize(a)))
-                rb = canonical(unlift(iminimize(b)))
-                assert ra == rb, (a, b)
+        # representative: equal exactly when equivalent
+        for segment in [(2, 3, 1), (2, 3, 2), (3, 3, 1), (2, 4, 1)]:
+            fs = enumerate_forests(*segment)
+            keys = [canonical(unlift(iminimize(f))) for f in fs]
+            for (a, ka), (b, kb) in itertools.combinations(zip(fs, keys), 2):
+                assert colim_equiv(a, b, 0) == (ka == kb), (segment, a, b)
 
 
 class TestCanonical:
