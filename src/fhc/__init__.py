@@ -31,6 +31,7 @@ from .iterated import (
     itree,
     lift,
     r_drop,
+    representative,
     s_lift,
     unlift,
 )

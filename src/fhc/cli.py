@@ -19,7 +19,6 @@ from . import hierarchy, iterated, notation, ordinals, terms
 from .forests import OracleBoundError
 from .hierarchy import LevelDescriptor, SegmentBoundError
 from .notation import parse_forest, parse_term, serialize_forest, serialize_term, serialize_tree
-from .terms import Dot, G
 
 
 @dataclass
@@ -120,18 +119,9 @@ def _parse_sterm(text: str):
 
 
 def _check_term_colors(u, k: int | None) -> None:
-    if k is None:
-        return
-    match u:
-        case terms.Const(color):
-            if color >= k:
-                raise ValueError(f"color {color} outside alphabet of size {k}")
-        case terms.Join(a, b) | Dot(_, a, b):
-            _check_term_colors(a, k)
-            _check_term_colors(b, k)
-        case G(a, b, c):
-            for x in (a, b, c):
-                _check_term_colors(x, k)
+    for x in terms.subterms(u):
+        if k is not None and isinstance(x, terms.Const) and x.color >= k:
+            raise ValueError(f"color {x.color} outside alphabet of size {k}")
 
 
 def _cmd_cmp(args) -> CommandResult:
@@ -152,7 +142,7 @@ def _cmd_cmp(args) -> CommandResult:
 
 def _cmd_min(args) -> CommandResult:
     f = parse_forest(args.forest, _alphabet(args))
-    m = iterated.canonical(iterated.unlift(iterated.iminimize(f)))
+    m = iterated.representative(f)
     return CommandResult(serialize_forest(m), serialize_forest(f),
                          params={"k": args.k})
 

@@ -96,8 +96,9 @@ def enumerate_segment(
 ) -> QuotientSegment:
     """Bucket every forest within the bounds into equivalence classes.
 
-    Classes appear in order of their smallest member; refuse when the raw
-    enumeration exceeds ``bound`` forests.
+    A class is named by its ``iterated.representative``; classes appear in
+    order of their smallest member.  Refuse when the raw enumeration exceeds
+    ``bound`` forests.
     """
     total = iterated.count_forests(k, max_nodes, max_level)
     if total > bound:
@@ -105,13 +106,7 @@ def enumerate_segment(
             f"segment too large: {total} forests exceed the bound {bound}"
         )
     forests = iterated.enumerate_forests(k, max_nodes, max_level)
-    reps: list[IForest] = []
-    for f in forests:
-        for rep in reps:
-            if iterated.colim_leq(f, rep, 0) and iterated.colim_leq(rep, f, 0):
-                break
-        else:
-            reps.append(iterated.canonical(iterated.unlift(iterated.iminimize(f))))
+    reps = list(dict.fromkeys(map(iterated.representative, forests)))
     covers = _transitive_reduction(reps)
     return QuotientSegment(k, max_nodes, max_level, tuple(reps), covers)
 

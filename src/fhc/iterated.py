@@ -15,7 +15,8 @@ node labels a level down), the derived preorders ``<=^n`` that compare
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, cached_property, lru_cache
+from math import comb
 
 from . import forests
 from .forests import LabelPreorder
@@ -53,7 +54,7 @@ class ITree:
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]
 
-    @property
+    @cached_property
     def size(self) -> int:
         """Total number of color occurrences through all nestings."""
         if self.level == 0:
@@ -285,6 +286,15 @@ def _imin_labels(t: ITree) -> ITree:
     return ITree(t.level, label, tuple(_imin_labels(c) for c in t.children))
 
 
+def representative(f: IForest) -> IForest:
+    """The name of the class of ``f``: its canonical minimal form.
+
+    Minimal forests are unique up to isomorphism, so two forests are
+    equivalent exactly when their representatives are equal.
+    """
+    return canonical(unlift(iminimize(f)))
+
+
 @lru_cache(maxsize=None)
 def sort_key(t: ITree):
     if t.level == 0:
@@ -318,96 +328,80 @@ def canonical_tree(t: ITree) -> ITree:
 # ---------------------------------------------------------------------------
 # Deterministic enumeration (canonical representatives only).
 
-def enumerate_trees(k: int, max_size: int, level: int) -> list[ITree]:
-    """All canonical trees at ``level`` with size up to ``max_size``."""
-    return [t for s in range(1, max_size + 1) for t in _trees_exact(k, s, level)]
-
-
-@lru_cache(maxsize=None)
-def _trees_exact(k: int, size: int, level: int) -> tuple[ITree, ...]:
-    if size < 1:
-        return ()
-    if level == 0:
-        return tuple(color(i) for i in range(k)) if size == 1 else ()
-    out = []
-    for label_size in range(1, size + 1):
-        for label in _trees_exact(k, label_size, level - 1):
-            for ch in _tuples_exact(k, size - label_size, level):
-                out.append(ITree(level, label, ch))
-    return tuple(sorted(out, key=sort_key))
-
-
-@lru_cache(maxsize=None)
-def _tuples_exact(k: int, total: int, level: int) -> tuple[tuple[ITree, ...], ...]:
-    pool = enumerate_trees(k, total, level)
-    out: list[tuple[ITree, ...]] = []
-
-    def rec(start: int, remaining: int, acc: list[ITree]) -> None:
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for i in range(start, len(pool)):
-            t = pool[i]
-            if t.size <= remaining:
-                acc.append(t)
-                rec(i, remaining - t.size, acc)
-                acc.pop()
-
-    rec(0, total, [])
-    return tuple(out)
-
-
 def enumerate_forests(k: int, max_size: int, max_level: int) -> list[IForest]:
     """All canonical forests with level up to ``max_level`` and size up to
     ``max_size``, in a fixed (size-ascending) order; the empty forest first.
     """
-    out = [IForest(0)]
-    for size in range(1, max_size + 1):
-        for level in range(max_level + 1):
-            for ch in _tuples_exact(k, size, level):
-                out.append(IForest(level, ch))
-    return out
+
+    @cache
+    def trees(size: int, level: int) -> list[ITree]:
+        # the canonical trees of exactly this size, in sort_key order
+        if level == 0:
+            return [color(i) for i in range(k)] if size == 1 else []
+        return sorted((
+            ITree(level, label, ch)
+            for label_size in range(1, size + 1)
+            for label in trees(label_size, level - 1)
+            for ch in tuples(size - label_size, level)
+        ), key=sort_key)
+
+    @cache
+    def tuples(total: int, level: int) -> list[tuple[ITree, ...]]:
+        # multisets of trees with sizes summing to total, as sorted tuples
+        pool = [t for size in range(1, total + 1) for t in trees(size, level)]
+        out: list[tuple[ITree, ...]] = []
+
+        def rec(start: int, remaining: int, acc: list[ITree]) -> None:
+            if remaining == 0:
+                out.append(tuple(acc))
+                return
+            for i in range(start, len(pool)):
+                t = pool[i]
+                if t.size > remaining:
+                    break  # the pool ascends by size
+                acc.append(t)
+                rec(i, remaining - t.size, acc)
+                acc.pop()
+
+        rec(0, total, [])
+        return out
+
+    return [IForest(0)] + [
+        IForest(level, ch)
+        for size in range(1, max_size + 1)
+        for level in range(max_level + 1)
+        for ch in tuples(size, level)
+    ]
 
 
 def count_forests(k: int, max_size: int, max_level: int) -> int:
     """What ``enumerate_forests`` would yield, counted without materializing."""
+
+    @cache
+    def trees(size: int, level: int) -> int:
+        if level == 0:
+            return k if size == 1 else 0
+        return sum(
+            trees(label_size, level - 1) * tuples(size - label_size, level)
+            for label_size in range(1, size + 1)
+        )
+
+    @cache
+    def tuples(total: int, level: int, smallest: int = 1) -> int:
+        # multisets of trees of size >= smallest with sizes summing to total
+        if total == 0:
+            return 1
+        if smallest > total:
+            return 0
+        kinds = trees(smallest, level)
+        return sum(
+            (comb(kinds + copies - 1, copies) if copies else 1)
+            * tuples(total - copies * smallest, level, smallest + 1)
+            for copies in range(total // smallest + 1)
+        )
+
     return 1 + sum(
-        _count_tuples(k, size, level)
+        tuples(size, level)
         for size in range(1, max_size + 1)
         for level in range(max_level + 1)
     )
-
-
-@lru_cache(maxsize=None)
-def _count_trees(k: int, size: int, level: int) -> int:
-    if size < 1:
-        return 0
-    if level == 0:
-        return k if size == 1 else 0
-    return sum(
-        _count_trees(k, label_size, level - 1)
-        * _count_tuples(k, size - label_size, level)
-        for label_size in range(1, size + 1)
-    )
-
-
-@lru_cache(maxsize=None)
-def _count_tuples(k: int, total: int, level: int) -> int:
-    from math import comb
-
-    # multisets of trees with sizes summing to total, grouped by tree size
-    def grouped(remaining: int, size: int) -> int:
-        if remaining == 0:
-            return 1
-        if size > remaining:
-            return 0
-        kinds = _count_trees(k, size, level)
-        out = 0
-        for copies in range(remaining // size + 1):
-            ways = comb(kinds + copies - 1, copies) if copies else 1
-            if ways == 0:
-                continue
-            out += ways * grouped(remaining - copies * size, size + 1)
-        return out
-
-    return grouped(total, 1)

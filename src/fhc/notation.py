@@ -21,7 +21,7 @@ import re
 
 from . import iterated
 from .iterated import IForest, ITree
-from .terms import Const, Dot, G, Join, Term
+from .terms import Const, Dot, G, Join, Term, subterms
 
 
 class ParseError(ValueError):
@@ -213,25 +213,11 @@ def _parse_term_expr(tokens: _Tokens) -> Term:
 
 
 def _uses_g(u: Term) -> bool:
-    match u:
-        case G():
-            return True
-        case Join(a, b):
-            return _uses_g(a) or _uses_g(b)
-        case Dot(_, a, b):
-            return _uses_g(a) or _uses_g(b)
-    return False
+    return any(isinstance(x, G) for x in subterms(u))
 
 
 def _uses_dot(u: Term) -> bool:
-    match u:
-        case Dot():
-            return True
-        case Join(a, b):
-            return _uses_dot(a) or _uses_dot(b)
-        case G(a, b, c):
-            return _uses_dot(a) or _uses_dot(b) or _uses_dot(c)
-    return False
+    return any(isinstance(x, Dot) for x in subterms(u))
 
 
 def serialize_term(u: Term) -> str:

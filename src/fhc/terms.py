@@ -15,6 +15,7 @@ chosen jump shift.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -109,6 +110,33 @@ def g_to_s(u: GTerm) -> STerm:
     raise TypeError(f"not a G-signature term: {u!r}")
 
 
+def subterms(u: Term) -> Iterator[Term]:
+    """Every subterm of ``u``, itself first, in preorder from left to right."""
+    stack = [u]
+    while stack:
+        u = stack.pop()
+        yield u
+        match u:
+            case Join(left, right) | Dot(_, left, right):
+                stack += (right, left)
+            case G(on_halt, on_diverge, oracle):
+                stack += (oracle, on_diverge, on_halt)
+
+
+def _rebuild(u: STerm, dot: Callable[[int, STerm, STerm], Term]) -> Term:
+    """Rebuild a star-signature term bottom-up: constants and joins stay,
+    each product becomes ``dot(grade, left, right)`` of its rebuilt operands.
+    """
+    match u:
+        case Const():
+            return u
+        case Join(left, right):
+            return Join(_rebuild(left, dot), _rebuild(right, dot))
+        case Dot(grade, left, right):
+            return dot(grade, _rebuild(left, dot), _rebuild(right, dot))
+    raise TypeError(f"not a star-signature term: {u!r}")
+
+
 def s_to_g(u: STerm) -> GTerm:
     """Expand graded products back into the mind-change combinator.
 
@@ -116,14 +144,7 @@ def s_to_g(u: STerm) -> GTerm:
     signatures happens: ``left .^p right`` becomes
     ``G(right', left', jump_term(p))``.
     """
-    match u:
-        case Const():
-            return u
-        case Join(left, right):
-            return Join(s_to_g(left), s_to_g(right))
-        case Dot(grade, left, right):
-            return G(s_to_g(right), s_to_g(left), jump_term(grade))
-    raise TypeError(f"not a star-signature term: {u!r}")
+    return _rebuild(u, lambda p, left, right: G(right, left, jump_term(p)))
 
 
 def restrict_level(u: STerm, n: int) -> STerm:
@@ -133,19 +154,15 @@ def restrict_level(u: STerm, n: int) -> STerm:
     collapsing two syntactically equal constant operands.  Anything else at
     such a grade denotes a numbering above the n-th jump and is rejected.
     """
-    match u:
-        case Const():
-            return u
-        case Join(left, right):
-            return Join(restrict_level(left, n), restrict_level(right, n))
-        case Dot(grade, left, right):
-            rl, rr = restrict_level(left, n), restrict_level(right, n)
-            if grade < n:
-                return Dot(grade, rl, rr)
-            if isinstance(rl, Const) and rl == rr:
-                return rl
-            raise ValueError(f"term exceeds jump bound {n}")
-    raise TypeError(f"not a star-signature term: {u!r}")
+
+    def dot(grade: int, left: STerm, right: STerm) -> STerm:
+        if grade < n:
+            return Dot(grade, left, right)
+        if isinstance(left, Const) and left == right:
+            return left
+        raise ValueError(f"term exceeds jump bound {n}")
+
+    return _rebuild(u, dot)
 
 
 def window_normalize(u: STerm, n: int, m: int) -> STerm:
@@ -153,46 +170,25 @@ def window_normalize(u: STerm, n: int, m: int) -> STerm:
 
     Grades at or above ``n + m`` are outside the window and rejected.
     """
-    match u:
-        case Const():
-            return u
-        case Join(left, right):
-            return Join(window_normalize(left, n, m), window_normalize(right, n, m))
-        case Dot(grade, left, right):
-            if grade >= n + m:
-                raise ValueError(f"term outside window [{n}, {n + m})")
-            wl = window_normalize(left, n, m)
-            wr = window_normalize(right, n, m)
-            if grade < n:
-                return Join(wl, wr)
-            return Dot(grade, wl, wr)
-    raise TypeError(f"not a star-signature term: {u!r}")
+
+    def dot(grade: int, left: STerm, right: STerm) -> STerm:
+        if grade >= n + m:
+            raise ValueError(f"term outside window [{n}, {n + m})")
+        return Join(left, right) if grade < n else Dot(grade, left, right)
+
+    return _rebuild(u, dot)
 
 
 def term_s(u: STerm) -> STerm:
     """Shift every grade up by one (the level-shift on terms)."""
-    match u:
-        case Const():
-            return u
-        case Join(left, right):
-            return Join(term_s(left), term_s(right))
-        case Dot(grade, left, right):
-            return Dot(grade + 1, term_s(left), term_s(right))
-    raise TypeError(f"not a star-signature term: {u!r}")
+    return _rebuild(u, lambda p, left, right: Dot(p + 1, left, right))
 
 
 def term_r(u: STerm) -> STerm:
     """Shift grades down by one; a grade-0 product falls apart into a join."""
-    match u:
-        case Const():
-            return u
-        case Join(left, right):
-            return Join(term_r(left), term_r(right))
-        case Dot(grade, left, right):
-            if grade == 0:
-                return Join(term_r(left), term_r(right))
-            return Dot(grade - 1, term_r(left), term_r(right))
-    raise TypeError(f"not a star-signature term: {u!r}")
+    return _rebuild(
+        u, lambda p, left, right: Dot(p - 1, left, right) if p else Join(left, right)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,11 @@ class TestExitCodes:
     def test_user_error(self, capsys):
         assert capture(capsys, "cmp", "[2:]", "0", "--k", "2")[0] == 1
 
+    def test_term_color_outside_alphabet(self, capsys):
+        # the first out-of-range color in preorder is the one named
+        assert main(["eval", "((0 .0 7) .1 5)", "--k", "2"]) == 1
+        assert capsys.readouterr().err == "error: color 7 outside alphabet of size 2\n"
+
     def test_parse_error(self, capsys):
         assert capture(capsys, "min", "{0,]")[0] == 1
 

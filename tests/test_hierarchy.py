@@ -112,6 +112,14 @@ class TestSegments:
         for c in seg.classes:
             assert c == iterated.canonical(iterated.unlift(iterated.iminimize(c)))
 
+    @pytest.mark.parametrize("segment", [
+        (2, 3, 1), (2, 3, 2), (3, 3, 1), (2, 4, 1), (3, 2, 2), (2, 4, 2), (3, 4, 1),
+    ], ids="k{0[0]}-n{0[1]}-l{0[2]}".format)
+    def test_classes_match_pairwise_scan(self, segment):
+        # naming each class by its representative groups exactly as
+        # comparing every forest with every class found so far
+        assert enumerate_segment(*segment).classes == _pairwise_classes(*segment)
+
     def test_bound_guard(self):
         with pytest.raises(SegmentBoundError, match="too large"):
             enumerate_segment(3, 12, 2, bound=1000)
@@ -120,6 +128,16 @@ class TestSegments:
         a = enumerate_segment(2, 3, 1)
         b = enumerate_segment(2, 3, 1)
         assert a == b
+
+
+def _pairwise_classes(k: int, max_nodes: int, max_level: int) -> tuple:
+    """The reference bucketing: each forest is compared both ways with every
+    class found so far and opens a new class when it matches none."""
+    reps: list = []
+    for f in iterated.enumerate_forests(k, max_nodes, max_level):
+        if not any(iterated.colim_equiv(f, rep, 0) for rep in reps):
+            reps.append(iterated.canonical(iterated.unlift(iterated.iminimize(f))))
+    return tuple(reps)
 
 
 class TestHasseDot:

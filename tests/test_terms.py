@@ -22,6 +22,7 @@ from fhc.terms import (
     jump_term,
     restrict_level,
     s_to_g,
+    subterms,
     term_equiv,
     term_leq,
     term_r,
@@ -148,6 +149,18 @@ class TestWindowNormalize:
         for f in enumerate_forests(2, 3, 2)[1:]:
             u = encode(f, 1)
             assert term_equiv(window_normalize(u, 1, 3), u, 1)
+
+    def test_operands_checked_before_the_grade(self):
+        # a G under an out-of-window product is not a star-signature term
+        with pytest.raises(TypeError, match="star-signature"):
+            window_normalize(Dot(3, G(C0, C1, C0), C1), 1, 2)
+
+
+def test_subterms_preorder_left_to_right():
+    u = Join(Dot(1, C0, Const(2)), G(Const(3), Const(4), C1))
+    assert list(subterms(u)) == [
+        u, u.left, C0, Const(2), u.right, Const(3), Const(4), C1,
+    ]
 
 
 class TestShifts:
