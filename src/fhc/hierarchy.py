@@ -17,9 +17,11 @@ byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
-from . import iterated, notation, terms
-from .iterated import IForest
+from . import forests, iterated, notation, terms
+from .iterated import LABEL_ORDER, IForest
 from .terms import GTerm
 
 EQUAL = "equal"
@@ -100,6 +102,8 @@ def enumerate_segment(
     order of their smallest member.  Refuse when the raw enumeration exceeds
     ``bound`` forests.
     """
+    if k < 0:
+        raise ValueError(f"alphabet size k must be non-negative, got {k}")
     total = iterated.count_forests(k, max_nodes, max_level)
     if total > bound:
         raise SegmentBoundError(
@@ -112,20 +116,17 @@ def enumerate_segment(
 
 
 def _transitive_reduction(reps: list[IForest]) -> tuple[tuple[int, int], ...]:
-    n = len(reps)
-    less = [
-        [i != j and iterated.colim_leq(reps[i], reps[j], 0) for j in range(n)]
-        for i in range(n)
-    ]
-    covers = []
-    for i in range(n):
-        for j in range(n):
-            if not less[i][j]:
-                continue
-            if any(less[i][m] and less[m][j] for m in range(n)):
-                continue
-            covers.append((i, j))
-    return tuple(covers)
+    # the strict order as bitset rows, decided on all classes lifted to one level
+    top = max((f.level for f in reps), default=0)
+    rows = forests.h_leq_rows([iterated.lift(f, top) for f in reps], LABEL_ORDER)
+    less = [row & ~(1 << i) for i, row in enumerate(rows)]
+    through = [reduce(or_, (less[m] for m in _bits(row)), 0) for row in less]
+    return tuple((i, j) for i, row in enumerate(less) for j in _bits(row & ~through[i]))
+
+
+def _bits(x: int) -> list[int]:
+    """The indices of the set bits of ``x``, ascending."""
+    return [m for m, bit in enumerate(reversed(bin(x))) if bit == "1"]
 
 
 def hasse_dot(seg: QuotientSegment) -> str:

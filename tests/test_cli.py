@@ -184,6 +184,16 @@ class TestNegativeBounds:
             f"error: argument {flag}: must be non-negative, got {value}\n"
         )
 
+    @pytest.mark.parametrize("command", ["enumerate", "diagram"])
+    def test_negative_alphabet_on_segments(self, capsys, command):
+        code = main([command, "--k", "-1", "--nodes", "2", "--level", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "error: alphabet size k must be non-negative, got -1\n"
+        )
+
     def test_zero_still_accepted(self, capsys):
         code, out = capture(capsys, "enumerate", "--nodes", "0", "--level", "0")
         assert code == 0 and out.splitlines() == [

@@ -120,6 +120,30 @@ class TestSegments:
         # comparing every forest with every class found so far
         assert enumerate_segment(*segment).classes == _pairwise_classes(*segment)
 
+    @pytest.mark.parametrize("segment", [
+        (2, 3, 1), (2, 3, 2), (2, 3, 3), (3, 3, 1), (2, 4, 2), (3, 4, 1), (4, 3, 1),
+    ], ids="k{0[0]}-n{0[1]}-l{0[2]}".format)
+    def test_covers_match_pairwise_matrix(self, segment):
+        # representatives sit at mixed levels after unlift; deciding the
+        # order on all of them lifted to the top level changes no cover
+        seg = enumerate_segment(*segment)
+        assert len({c.level for c in seg.classes}) > 1
+        assert seg.covers == _pairwise_covers(list(seg.classes))
+
+    def test_covers_of_no_class_and_one_class(self):
+        assert hy._transitive_reduction([]) == ()
+        assert hy._transitive_reduction([parse_forest("[0:[1:]]")]) == ()
+        assert enumerate_segment(0, 3, 2).covers == ()
+
+    def test_negative_alphabet_refused(self):
+        with pytest.raises(ValueError) as exc:
+            enumerate_segment(-1, 2, 1)
+        assert str(exc.value) == "alphabet size k must be non-negative, got -1"
+
+    def test_empty_alphabet_is_the_bottom_alone(self):
+        seg = enumerate_segment(0, 2, 1)
+        assert [serialize_forest(c) for c in seg.classes] == ["{}"]
+
     def test_bound_guard(self):
         with pytest.raises(SegmentBoundError, match="too large"):
             enumerate_segment(3, 12, 2, bound=1000)
@@ -138,6 +162,22 @@ def _pairwise_classes(k: int, max_nodes: int, max_level: int) -> tuple:
         if not any(iterated.colim_equiv(f, rep, 0) for rep in reps):
             reps.append(iterated.canonical(iterated.unlift(iterated.iminimize(f))))
     return tuple(reps)
+
+
+def _pairwise_covers(classes: list) -> tuple:
+    """The reference covers: the strict order as a matrix of ``colim_leq``
+    calls, one per ordered pair, reduced by a scan over every middle class."""
+    n = len(classes)
+    less = [
+        [i != j and iterated.colim_leq(classes[i], classes[j], 0) for j in range(n)]
+        for i in range(n)
+    ]
+    return tuple(
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if less[i][j] and not any(less[i][m] and less[m][j] for m in range(n))
+    )
 
 
 class TestHasseDot:
