@@ -18,6 +18,7 @@ from fhc.forests import (
     h_equiv,
     h_leq,
     h_leq_oracle,
+    h_leq_rows,
     is_join_irreducible,
     join,
     minimize,
@@ -71,6 +72,17 @@ class TestHLeq:
         assert h_leq(empty, CHAIN01, ANTICHAIN)
         assert h_leq(empty, empty, ANTICHAIN)
         assert not h_leq(CHAIN01, empty, ANTICHAIN)
+
+    @pytest.mark.parametrize("q", [ANTICHAIN, TOTAL], ids=["antichain", "chain"])
+    def test_rows_match_pairwise(self, q):
+        # the family repeats trees across forests and holds equivalent
+        # forests, which must carry each other's bits
+        fs = all_lforests(2, 3) + [join(TWO, TWO), LForest(())]
+        expected = [
+            sum(1 << j for j, b in enumerate(fs) if h_leq(a, b, q)) for a in fs
+        ]
+        assert h_leq_rows(fs, q) == expected
+        assert h_leq_rows([], q) == []
 
 
 class TestOracle:

@@ -133,7 +133,6 @@ class TestSegments:
     def test_covers_of_no_class_and_one_class(self):
         assert hy._transitive_reduction([]) == ()
         assert hy._transitive_reduction([parse_forest("[0:[1:]]")]) == ()
-        assert enumerate_segment(0, 3, 2).covers == ()
 
     def test_negative_alphabet_refused(self):
         with pytest.raises(ValueError) as exc:
@@ -141,8 +140,9 @@ class TestSegments:
         assert str(exc.value) == "alphabet size k must be non-negative, got -1"
 
     def test_empty_alphabet_is_the_bottom_alone(self):
-        seg = enumerate_segment(0, 2, 1)
+        seg = enumerate_segment(0, 3, 2)
         assert [serialize_forest(c) for c in seg.classes] == ["{}"]
+        assert seg.covers == ()
 
     def test_bound_guard(self):
         with pytest.raises(SegmentBoundError, match="too large"):
