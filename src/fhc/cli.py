@@ -27,7 +27,6 @@ class CommandResult:
     lhs: str | None = None
     rhs: str | None = None
     params: dict = field(default_factory=dict)
-    multiline: bool = False
 
 
 class _Parser(argparse.ArgumentParser):
@@ -151,8 +150,7 @@ def _cmd_decompose(args) -> CommandResult:
     f = parse_forest(args.forest, _alphabet(args))
     parts = iterated.iminimize(f).trees
     text = "\n".join(serialize_tree(t) for t in parts)
-    return CommandResult(text, serialize_forest(f), params={"k": args.k},
-                         multiline=True)
+    return CommandResult(text, serialize_forest(f), params={"k": args.k})
 
 
 def _cmd_encode(args) -> CommandResult:
@@ -232,9 +230,7 @@ def _cmd_segment(args) -> CommandResult:
     write = (hierarchy.hasse_dot if args.command == "diagram"
              else hierarchy.write_segment)
     return CommandResult(write(seg).rstrip("\n"),
-                         params={"k": args.k, "nodes": args.nodes,
-                                 "level": args.level},
-                         multiline=True)
+                         params={"k": args.k, "nodes": args.nodes, "level": args.level})
 
 
 def _render(result: CommandResult, fmt: str | None, command: str) -> str:

@@ -15,54 +15,63 @@ node labels a level down), the derived preorders ``<=^n`` that compare
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cache, lru_cache
 from math import comb
+from operator import attrgetter
+from weakref import WeakValueDictionary
 
 from . import forests
 from .forests import LabelPreorder
 
 
-@dataclass(frozen=True)
 class ITree:
-    """One tree of an iterated forest.
+    """One tree of an iterated forest, interned: equal trees are one object.
 
     At level 0 the ``label`` is a color (an int) and there are no children;
     at level ``m > 0`` the label is an ``ITree`` of level ``m - 1`` and the
-    children are trees of the same level ``m``.
+    children are trees of the same level ``m``.  Equality and hashing are
+    identity.  ``size`` counts the color occurrences through all nestings;
+    ``sort_key`` orders trees structurally, children as a sorted multiset.
     """
 
-    level: int
-    label: "int | ITree"
-    children: tuple["ITree", ...] = ()
+    __slots__ = ("level", "label", "children", "size", "sort_key", "__weakref__")
 
-    def __post_init__(self) -> None:
-        if self.level == 0:
-            if not isinstance(self.label, int) or self.label < 0:
+    def __new__(cls, level: int, label: "int | ITree", children: tuple["ITree", ...] = ()):
+        if level == 0:
+            if not isinstance(label, int) or label < 0:
                 raise ValueError("level-0 tree must be labeled by a color")
-            if self.children:
+            if children:
                 raise ValueError("level-0 tree has no children")
-        else:
-            if not isinstance(self.label, ITree) or self.label.level != self.level - 1:
-                raise ValueError(
-                    f"level-{self.level} tree needs a level-{self.level - 1} label"
-                )
-            for c in self.children:
-                if c.level != self.level:
-                    raise ValueError("children must sit at the parent's level")
-        object.__setattr__(self, "_hash", hash((self.level, self.label, self.children)))
+        elif not isinstance(label, ITree) or label.level != level - 1:
+            raise ValueError(f"level-{level} tree needs a level-{level - 1} label")
+        elif any(c.level != level for c in children):
+            raise ValueError("children must sit at the parent's level")
+        key = (level, label, children)
+        t = _INTERNED.get(key)
+        if t is None:
+            if level == 0:
+                size, sort_key = 1, (0, label)
+            else:
+                size = label.size + sum(c.size for c in children)
+                sort_key = (1, label.sort_key, tuple(sorted(c.sort_key for c in children)))
+            t = _INTERNED[key] = object.__new__(cls)
+            for name, value in zip(cls.__slots__, (*key, size, sort_key)):
+                object.__setattr__(t, name, value)
+        return t
 
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError("ITree is immutable")
 
-    @cached_property
-    def size(self) -> int:
-        """Total number of color occurrences through all nestings."""
-        if self.level == 0:
-            return 1
-        return self.label.size + sum(c.size for c in self.children)
+    def __repr__(self) -> str:
+        return f"ITree(level={self.level!r}, label={self.label!r}, children={self.children!r})"
 
     def with_children(self, children: tuple["ITree", ...]) -> "ITree":
         return ITree(self.level, self.label, children)
+
+
+#: every live tree by ``(level, label, children)``; entries die with their tree
+_INTERNED: "WeakValueDictionary[tuple, ITree]" = WeakValueDictionary()
+_SORT_KEY = attrgetter("sort_key")
 
 
 @dataclass(frozen=True)
@@ -76,10 +85,6 @@ class IForest:
         for t in self.trees:
             if t.level != self.level:
                 raise ValueError("forest level differs from tree level")
-        object.__setattr__(self, "_hash", hash((self.level, self.trees)))
-
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
 
     @property
     def size(self) -> int:
@@ -295,13 +300,6 @@ def representative(f: IForest) -> IForest:
     return canonical(unlift(iminimize(f)))
 
 
-@lru_cache(maxsize=None)
-def sort_key(t: ITree):
-    if t.level == 0:
-        return (0, t.label)
-    return (1, sort_key(t.label), tuple(sorted(sort_key(c) for c in t.children)))
-
-
 def canonical(f: IForest) -> IForest:
     """Reorder children and trees by a structural key; class-preserving.
 
@@ -311,7 +309,7 @@ def canonical(f: IForest) -> IForest:
     if f.is_empty():
         return IForest(0)
     return IForest(f.level, tuple(sorted(
-        (canonical_tree(t) for t in f.trees), key=sort_key
+        (canonical_tree(t) for t in f.trees), key=_SORT_KEY
     )))
 
 
@@ -321,7 +319,7 @@ def canonical_tree(t: ITree) -> ITree:
     return ITree(
         t.level,
         canonical_tree(t.label),
-        tuple(sorted((canonical_tree(c) for c in t.children), key=sort_key)),
+        tuple(sorted((canonical_tree(c) for c in t.children), key=_SORT_KEY)),
     )
 
 
@@ -343,7 +341,7 @@ def enumerate_forests(k: int, max_size: int, max_level: int) -> list[IForest]:
             for label_size in range(1, size + 1)
             for label in trees(label_size, level - 1)
             for ch in tuples(size - label_size, level)
-        ), key=sort_key)
+        ), key=_SORT_KEY)
 
     @cache
     def tuples(total: int, level: int) -> list[tuple[ITree, ...]]:

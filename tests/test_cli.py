@@ -142,6 +142,13 @@ class TestExitCodes:
             " (FHC_ORACLE_BOUND)\n"
         )
 
+    def test_oracle_level0_is_a_set_test(self):
+        # ten colors against ten: the map search would need 10**10 maps; the
+        # level-0 set test answers at once
+        forest = "{0,1,0,1,0,1,0,1,0,1}"
+        proc = run("cmp", "--oracle", forest, forest)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "=\n", "")
+
     def test_segment_guard(self):
         proc = run("enumerate", "--k", "9", "--nodes", "9", "--level", "3")
         assert proc.returncode == 2

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -11,6 +14,7 @@ from fhc.iterated import (
     IForest,
     ITree,
     canonical,
+    canonical_tree,
     colim_equiv,
     colim_leq,
     color,
@@ -28,6 +32,7 @@ from fhc.iterated import (
     singleton,
     unlift,
 )
+from fhc.notation import parse_forest
 from conftest import random_iforest
 
 C0, C1 = color(0), color(1)
@@ -57,6 +62,93 @@ class TestValidation:
     def test_forest_level_matches_trees(self):
         with pytest.raises(ValueError):
             IForest(0, (itree(C0),))
+
+
+def _ref_size(t):
+    if t.level == 0:
+        return 1
+    return _ref_size(t.label) + sum(_ref_size(c) for c in t.children)
+
+
+def _ref_sort_key(t):
+    if t.level == 0:
+        return (0, t.label)
+    return (1, _ref_sort_key(t.label), tuple(sorted(_ref_sort_key(c) for c in t.children)))
+
+
+def _all_subtrees(forests):
+    """Every tree of ``forests``, with its subtrees and labels at all levels."""
+    seen, stack = {}, [t for f in forests for t in f.trees]
+    while stack:
+        t = stack.pop()
+        if t not in seen:
+            seen[t] = None
+            stack.extend(t.children)
+            if t.level:
+                stack.append(t.label)
+    return list(seen)
+
+
+class TestInterned:
+    def test_identity_is_equality(self):
+        assert not dataclasses.is_dataclass(ITree)
+        assert ITree.__eq__ is object.__eq__ and ITree.__hash__ is object.__hash__
+
+    def test_equal_trees_are_one_object(self):
+        chain = CHAIN.trees[0]                   # [0:[1]], built by hand
+        assert parse_forest("{[0:[1]]}").trees[0] is chain
+        assert lift(F01, 1).trees == (itree(C0), itree(C1))
+        assert lift(F01, 1).trees[1] is chain.children[0]
+        assert ITree(1, C0).with_children((ITree(1, C1),)) is chain
+        assert unlift(lift(F01, 3)).trees[0] is C0
+        assert unlift(lift(CHAIN, 3)).trees[0] is chain
+        bushy = ITree(1, C0, (itree(C1), itree(C0)))
+        assert canonical_tree(bushy) is ITree(1, C0, (itree(C0), itree(C1)))
+        found = [f for f in enumerate_forests(2, 2, 1) if f.trees == (chain,)]
+        assert len(found) == 1 and found[0].trees[0] is chain
+
+    @pytest.mark.parametrize("bad, lookalike", [
+        ((0, 1.0), (0, 1)),
+        ((0, -1), (0, 1)),
+        ((0, 1, (C0,)), (0, 1)),
+        ((0, C0), (1, C0)),
+        ((1, 0), (1, C0)),
+        ((2, C0), (1, C0)),
+        ((1, C0, (C1,)), (1, C0, (itree(C1),))),
+        ((1, C0, (itree(itree(C1)),)), (1, C0, (itree(C1),))),
+    ])
+    def test_ill_formed_raises_after_lookalike_exists(self, bad, lookalike):
+        keep = ITree(*lookalike)
+        with pytest.raises(ValueError):
+            ITree(*bad)
+        assert ITree(*lookalike) is keep
+
+    @pytest.mark.parametrize("k, n, level", [(2, 4, 2), (3, 3, 2)])
+    def test_size_and_sort_key_match_recursion(self, k, n, level):
+        trees = _all_subtrees(enumerate_forests(k, n, level))
+        assert len(trees) > 100
+        for t in trees:
+            assert t.size == _ref_size(t)
+            assert t.sort_key == _ref_sort_key(t)
+
+    def test_repr_reads_as_a_constructor_call(self):
+        assert repr(color(0)) == "ITree(level=0, label=0, children=())"
+        assert repr(itree(C0, itree(C1))) == (
+            "ITree(level=1, label=ITree(level=0, label=0, children=()), children=("
+            "ITree(level=1, label=ITree(level=0, label=1, children=()), children=()),))"
+        )
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            C0.size = 2
+
+    def test_unreferenced_trees_are_released(self):
+        # the intern table holds its trees weakly
+        t = itree(color(12345))
+        gone = weakref.ref(t)
+        del t
+        gc.collect()
+        assert gone() is None
 
 
 class TestLift:
