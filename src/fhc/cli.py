@@ -4,8 +4,8 @@ Every command is deterministic: identical invocations print identical
 bytes.  Exit status is 0 for success, 1 for a user error (bad syntax,
 unknown flag, out-of-range color), 2 when a resource guard refuses the
 computation (FHC_ORACLE_BOUND overrides the brute-force map-search guard;
-input nested deeper than the Python recursion limit is refused too).  Every
-error is one line on stderr.
+input nested past the Python recursion limit, or a ``build-T`` result of more
+than BUILD_T_BOUND nodes, is refused too).  Every error is one line on stderr.
 """
 
 from __future__ import annotations
@@ -19,6 +19,14 @@ from . import hierarchy, iterated, notation, ordinals, terms
 from .forests import OracleBoundError
 from .hierarchy import LevelDescriptor, SegmentBoundError
 from .notation import parse_forest, parse_term, serialize_forest, serialize_term, serialize_tree
+
+
+#: the most nodes ``build-T`` prints; its results share subtrees, which print unfolded
+BUILD_T_BOUND = 1_000_000
+
+
+class OutputBoundError(RuntimeError):
+    """Raised when a result has too many nodes to print."""
 
 
 @dataclass
@@ -221,6 +229,9 @@ def _cmd_build_t(args) -> CommandResult:
         raise ValueError("finite alphabet required for the level family (k >= 2)")
     alpha = ordinals.parse_ordinal(args.ordinal)
     f = ordinals.build_t(alpha, args.color, args.n, args.k)
+    if f.size > BUILD_T_BOUND:
+        raise OutputBoundError(
+            f"build-T too large: {f.size} nodes exceed the bound {BUILD_T_BOUND}")
     return CommandResult(serialize_forest(f), ordinals.format_ordinal(alpha),
                          str(args.color), {"k": args.k, "n": args.n})
 
@@ -251,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         result = args.handler(args)
         print(_render(result, args.format, args.command))
-    except (OracleBoundError, SegmentBoundError) as exc:
+    except (OracleBoundError, SegmentBoundError, OutputBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

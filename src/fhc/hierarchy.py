@@ -116,9 +116,8 @@ def enumerate_segment(
 
 
 def _transitive_reduction(reps: list[IForest]) -> tuple[tuple[int, int], ...]:
-    # the strict order as bitset rows, decided on all classes lifted to one level
-    top = max((f.level for f in reps), default=0)
-    rows = forests.h_leq_rows([iterated.lift(f, top) for f in reps], LABEL_ORDER)
+    # the strict order as bitset rows, decided on the classes at their own levels
+    rows = forests.h_leq_rows(reps, LABEL_ORDER)
     less = [row & ~(1 << i) for i, row in enumerate(rows)]
     through = [reduce(or_, (less[m] for m in _bits(row)), 0) for row in less]
     return tuple((i, j) for i, row in enumerate(less) for j in _bits(row & ~through[i]))

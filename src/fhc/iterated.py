@@ -3,8 +3,9 @@
 Level 0 holds the bare colors ``0 .. k-1``; a tree at level ``m+1`` is a
 finite rooted tree whose every node carries a level-``m`` tree as its label.
 All levels embed into one big structure via the canonical lifting ``lift``
-(a color becomes the singleton tree it labels), so forests of different
-levels are always comparable after lifting to a common level.
+(a color becomes the singleton tree it labels), and the order compares
+forests of different levels as they are: lifting keeps a tree's shape and
+only relabels, so a color meets a tree as its one-node tree.
 
 On top of the embedding order ``<=^0`` the module provides the level-shift
 maps ``s_lift`` (wrap as a one-node tree a level up) and ``r_drop`` (join all
@@ -64,6 +65,10 @@ class ITree:
 
     def __repr__(self) -> str:
         return f"ITree(level={self.level!r}, label={self.label!r}, children={self.children!r})"
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __new__, which returns the interned tree
+        return ITree, (self.level, self.label, self.children)
 
     def with_children(self, children: tuple["ITree", ...]) -> "ITree":
         return ITree(self.level, self.label, children)
@@ -187,42 +192,37 @@ def unlift(f: IForest) -> IForest:
 
 @lru_cache(maxsize=None)
 def tree_leq0(a: ITree, b: ITree) -> bool:
-    """The embedding order on two trees of the same level."""
+    """The embedding order on two trees of any levels."""
     return forests.h_leq(singleton(a), singleton(b), LABEL_ORDER)
 
 
 def _label_leq(a: "int | ITree", b: "int | ITree") -> bool:
-    # colors, the labels of level-0 trees, are the bottom: equality
-    return a == b if isinstance(a, int) else tree_leq0(a, b)
+    # colors compare by equality, and with a tree as their one-node tree
+    if isinstance(a, int):
+        return a == b if isinstance(b, int) else tree_leq0(color(a), b)
+    return tree_leq0(a, color(b) if isinstance(b, int) else b)
 
 
-#: colors by equality, iterated trees by the embedding order of their own
-#: level; the label preorder of every level
+#: colors by equality, iterated trees of any levels by the embedding order;
+#: the label preorder of every level
 LABEL_ORDER = LabelPreorder(_label_leq, "colors and iterated trees")
-
-
-def _aligned(a: IForest, b: IForest, n: int) -> tuple[IForest, IForest]:
-    """Lift both forests to a common level, then ``r_drop`` both ``n`` times."""
-    p = max(a.level, b.level)
-    a, b = lift(a, p), lift(b, p)
-    for _ in range(n):
-        a, b = r_drop(a), r_drop(b)
-    return a, b
 
 
 @lru_cache(maxsize=None)
 def forest_leq0(a: IForest, b: IForest) -> bool:
-    """The embedding order on two forests of the same level."""
+    """The embedding order on two forests of any levels."""
     return forests.h_leq(a, b, LABEL_ORDER)
 
 
 def colim_leq(a: IForest, b: IForest, n: int = 0) -> bool:
     """Decide ``a <=^n b``; operands may sit at different levels.
 
-    ``<=^0`` is the embedding order after lifting to a common level;
-    ``<=^(n+1)`` compares the ``r_drop`` images at ``n``.
+    ``<=^0`` is the embedding order, which lifting to a common level would
+    not change; ``<=^(n+1)`` compares the ``r_drop`` images at ``n``.
     """
-    return forest_leq0(*_aligned(a, b, n))
+    for _ in range(n):
+        a, b = r_drop(a), r_drop(b)
+    return forest_leq0(a, b)
 
 
 def colim_equiv(a: IForest, b: IForest, n: int = 0) -> bool:
@@ -233,8 +233,9 @@ def colim_leq_oracle(
     a: IForest, b: IForest, n: int = 0, bound: int | None = None
 ) -> bool:
     """``colim_leq`` decided by the brute-force map search; small inputs only."""
-    a, b = _aligned(a, b, n)
-    if a.level == 0:
+    for _ in range(n):
+        a, b = r_drop(a), r_drop(b)
+    if a.level == b.level == 0:
         return set(a.trees) <= set(b.trees)
     return forests.h_leq_oracle(a, b, LABEL_ORDER, bound)
 

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import reduce, total_ordering
+from functools import reduce
 
 from . import iterated
 from .iterated import IForest
 
 
-@total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Ordinal:
     """CNF term list; invariant: decreasing exponents, positive coefficients."""
 
@@ -41,9 +40,6 @@ class Ordinal:
 
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]
-
-    def __lt__(self, other: "Ordinal") -> bool:
-        return ord_compare(self, other) < 0
 
     def __repr__(self) -> str:
         return f"Ordinal({format_ordinal(self)!r})"
@@ -70,16 +66,9 @@ OMEGA = omega_pow(ONE)
 
 
 def ord_compare(a: Ordinal, b: Ordinal) -> int:
-    """-1, 0 or 1: term lists compare lexicographically on (exponent, coefficient)."""
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        c = ord_compare(ea, eb)
-        if c:
-            return c
-        if ca != cb:
-            return -1 if ca < cb else 1
-    if len(a.terms) != len(b.terms):
-        return -1 if len(a.terms) < len(b.terms) else 1
-    return 0
+    """-1, 0 or 1: the tuple order of the term lists, lexicographic on
+    (exponent, coefficient) pairs with a proper prefix below."""
+    return (a.terms > b.terms) - (a.terms < b.terms)
 
 
 def ord_add(a: Ordinal, b: Ordinal) -> Ordinal:

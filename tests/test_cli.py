@@ -149,6 +149,13 @@ class TestExitCodes:
         proc = run("cmp", "--oracle", forest, forest)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "=\n", "")
 
+    def test_build_t_guard(self, capsys):
+        # built at once as a shared DAG; refused before it is printed unfolded
+        assert main(["build-T", "50", "0", "--k", "4"]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: build-T too large: 1690200800304305868662270940501 nodes"
+            " exceed the bound 1000000\n"))
+
     def test_segment_guard(self):
         proc = run("enumerate", "--k", "9", "--nodes", "9", "--level", "3")
         assert proc.returncode == 2

@@ -125,7 +125,7 @@ class TestSegments:
     ], ids="k{0[0]}-n{0[1]}-l{0[2]}".format)
     def test_covers_match_pairwise_matrix(self, segment):
         # representatives sit at mixed levels after unlift; deciding the
-        # order on all of them lifted to the top level changes no cover
+        # order on them at their own levels changes no cover
         seg = enumerate_segment(*segment)
         assert len({c.level for c in seg.classes}) > 1
         assert seg.covers == _pairwise_covers(list(seg.classes))

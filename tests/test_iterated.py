@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import gc
 import itertools
+import pickle
 import random
 import weakref
 
 import pytest
 
+from fhc import forests
 from fhc.iterated import (
+    LABEL_ORDER,
     IForest,
     ITree,
     canonical,
@@ -138,6 +142,15 @@ class TestInterned:
             "ITree(level=1, label=ITree(level=0, label=1, children=()), children=()),))"
         )
 
+    def test_pickle_and_deepcopy_return_the_interned_tree(self):
+        trees = [t for f in enumerate_forests(2, 3, 2) for t in f.trees]
+        assert len(trees) > 100
+        for t in trees:
+            assert pickle.loads(pickle.dumps(t)) is t
+            assert copy.deepcopy(t) is t
+        f = parse_forest("{[0:[1]],1}")
+        assert copy.deepcopy(f) == f and pickle.loads(pickle.dumps(f)) == f
+
     def test_immutable(self):
         with pytest.raises(AttributeError):
             C0.size = 2
@@ -217,6 +230,33 @@ class TestColimLeq:
                 expected = colim_leq(sa, sb, 0)
                 for j in range(1, n + 1):
                     assert colim_leq(sa, sb, j) == expected
+
+
+def _lifted_leq(a, b, n):
+    """``a <=^n b`` by the definition: lift both operands to a common level,
+    so that every label comparison is between labels of one level, then
+    ``r_drop`` both ``n`` times."""
+    p = max(a.level, b.level)
+    a, b = lift(a, p), lift(b, p)
+    for _ in range(n):
+        a, b = r_drop(a), r_drop(b)
+    return forests.h_leq(a, b, LABEL_ORDER)
+
+
+class TestUnliftedOrder:
+    @pytest.mark.parametrize("k, n, level", [(2, 3, 2), (3, 2, 3)])
+    def test_matches_lifted_definition_exhaustively(self, k, n, level):
+        fs = enumerate_forests(k, n, level)
+        for a, b in itertools.product(fs, fs):
+            for m in (0, 1, 2):
+                assert colim_leq(a, b, m) == _lifted_leq(a, b, m), (a, b, m)
+
+    def test_matches_lifted_definition_on_random_pairs(self):
+        rng = random.Random(2024)
+        for _ in range(2000):
+            a, b = (random_iforest(rng, 3, 3, 5) for _ in range(2))
+            for m in range(4):
+                assert colim_leq(a, b, m) == _lifted_leq(a, b, m), (a, b, m)
 
 
 class TestShiftMaps:
