@@ -8,10 +8,10 @@ hierarchy does not collapse, so non-order implies non-inclusion.  The
 complete member of a level is returned symbolically, as the mind-change
 term of the descriptor.
 
-The quotient machinery enumerates every forest within resource bounds,
-buckets by equivalence, and emits the resulting poset as a Hasse diagram
-(DOT text) or a line-oriented cache file.  Both outputs are deterministic,
-byte for byte.
+The quotient machinery enumerates the minimal forests within resource
+bounds, one per equivalence class, and emits the resulting poset as a Hasse
+diagram (DOT text) or a line-oriented cache file.  Both outputs are
+deterministic, byte for byte.
 """
 
 from __future__ import annotations
@@ -96,11 +96,11 @@ class QuotientSegment:
 def enumerate_segment(
     k: int, max_nodes: int, max_level: int, bound: int = DEFAULT_SEGMENT_BOUND
 ) -> QuotientSegment:
-    """Bucket every forest within the bounds into equivalence classes.
+    """The classes of the forests within the bounds, with their covers.
 
-    A class is named by its ``iterated.representative``; classes appear in
-    order of their smallest member.  Refuse when the raw enumeration exceeds
-    ``bound`` forests.
+    Each class comes from its minimal forest alone, named as
+    ``iterated.representative`` names it; classes appear in order of their
+    smallest member.  Refuse when the raw forests exceed ``bound``.
     """
     if k < 0:
         raise ValueError(f"alphabet size k must be non-negative, got {k}")
@@ -109,8 +109,8 @@ def enumerate_segment(
         raise SegmentBoundError(
             f"segment too large: {total} forests exceed the bound {bound}"
         )
-    forests = iterated.enumerate_forests(k, max_nodes, max_level)
-    reps = list(dict.fromkeys(map(iterated.representative, forests)))
+    minimal = iterated.minimal_forests(k, max_nodes, max_level)
+    reps = list(dict.fromkeys(iterated.canonical(iterated.unlift(f)) for f in minimal))
     covers = _transitive_reduction(reps)
     return QuotientSegment(k, max_nodes, max_level, tuple(reps), covers)
 

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache
+from itertools import permutations
 from math import comb
 from operator import attrgetter
+from typing import Callable
 from weakref import WeakValueDictionary
 
 from . import forests
@@ -331,18 +333,41 @@ def enumerate_forests(k: int, max_size: int, max_level: int) -> list[IForest]:
     """All canonical forests with level up to ``max_level`` and size up to
     ``max_size``, in a fixed (size-ascending) order; the empty forest first.
     """
+    return _forests(k, max_size, max_level, lambda t: True)
+
+
+def minimal_forests(k: int, max_size: int, max_level: int) -> list[IForest]:
+    """The forests of ``enumerate_forests`` that ``iminimize`` fixes, in its order.
+
+    Relies on closure: the label and each child of a minimal tree are minimal
+    trees, so a minimal tree is a minimal label over minimal children that
+    ``_min_tree`` leaves as it is, and a minimal forest is a multiset of
+    minimal trees none of which embeds into another.
+    """
+    return [
+        f for f in _forests(k, max_size, max_level, _is_minimal)
+        if not any(tree_leq0(a, b) for a, b in permutations(f.trees, 2))
+    ]
+
+
+def _is_minimal(t: ITree) -> bool:
+    return forests._min_tree(t, LABEL_ORDER) is t
+
+
+def _forests(k: int, max_size: int, max_level: int, keep: Callable) -> list[IForest]:
+    # forests in a fixed order, of trees that pass ``keep`` built from kept parts
 
     @cache
     def trees(size: int, level: int) -> list[ITree]:
         # the canonical trees of exactly this size, in sort_key order
         if level == 0:
-            return [color(i) for i in range(k)] if size == 1 else []
-        return sorted((
+            return [color(i) for i in range(k)] if size == 1 else []  # always kept
+        return sorted(filter(keep, (
             ITree(level, label, ch)
             for label_size in range(1, size + 1)
             for label in trees(label_size, level - 1)
             for ch in tuples(size - label_size, level)
-        ), key=_SORT_KEY)
+        )), key=_SORT_KEY)
 
     @cache
     def tuples(total: int, level: int) -> list[tuple[ITree, ...]]:

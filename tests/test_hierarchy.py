@@ -113,6 +113,19 @@ class TestSegments:
             assert c == iterated.canonical(iterated.unlift(iterated.iminimize(c)))
 
     @pytest.mark.parametrize("segment", [
+        (2, 5, 2), (4, 4, 1),
+        (2, 3, 3), (3, 4, 2), (3, 5, 1), (2, 4, 3), (4, 3, 1),
+        (0, 3, 2), (1, 4, 3), (3, 0, 2), (3, 4, 0),
+    ], ids="k{0[0]}-n{0[1]}-l{0[2]}".format)
+    def test_classes_match_representatives_of_every_forest(self, segment):
+        # the classes come from the minimal forests alone; naming every raw
+        # forest by its representative finds the same classes, in order
+        reference = tuple(dict.fromkeys(
+            map(iterated.representative, iterated.enumerate_forests(*segment))
+        ))
+        assert enumerate_segment(*segment).classes == reference
+
+    @pytest.mark.parametrize("segment", [
         (2, 3, 1), (2, 3, 2), (3, 3, 1), (2, 4, 1), (3, 2, 2), (2, 4, 2), (3, 4, 1),
     ], ids="k{0[0]}-n{0[1]}-l{0[2]}".format)
     def test_classes_match_pairwise_scan(self, segment):

@@ -31,6 +31,7 @@ from fhc.iterated import (
     itree,
     join,
     lift,
+    minimal_forests,
     r_drop,
     s_lift,
     singleton,
@@ -445,6 +446,27 @@ class TestEnumeration:
         # the segment guard refuses by this count before enumerating
         for n, level in itertools.product(range(5), range(3)):
             assert count_forests(k, n, level) == len(enumerate_forests(k, n, level))
+
+    @pytest.mark.parametrize("k, n, level", [(3, 4, 2), (4, 4, 1)])
+    def test_minimal_forests_are_built_from_minimal_trees(self, k, n, level):
+        # the closure minimal_forests relies on: every tree it keeps, and every
+        # subtree and label inside one, is left as it is by iminimize
+        fs = minimal_forests(k, n, level)
+        trees = _all_subtrees(fs)
+        assert len(trees) > 100
+        for t in trees:
+            assert iminimize(singleton(t)) == singleton(t)
+        for f in fs:
+            assert not any(
+                colim_leq(singleton(a), singleton(b), 0)
+                for a, b in itertools.permutations(f.trees, 2)
+            ), f
+            assert iminimize(f) == f
+
+    def test_minimal_forests_are_a_subsequence_of_all_forests(self):
+        fs = enumerate_forests(3, 4, 2)
+        ranks = [fs.index(f) for f in minimal_forests(3, 4, 2)]
+        assert ranks == sorted(ranks) and len(ranks) < len(fs)
 
     def test_deterministic_and_distinct(self):
         a = enumerate_forests(2, 3, 2)
