@@ -13,12 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import hierarchy, iterated, notation, ordinals, terms
 from .forests import OracleBoundError
 from .hierarchy import LevelDescriptor, SegmentBoundError
 from .notation import parse_forest, parse_term, serialize_forest, serialize_term, serialize_tree
+from .terms import GradeBoundError
 
 
 #: the most nodes ``build-T`` prints; its results share subtrees, which print unfolded
@@ -34,7 +35,6 @@ class CommandResult:
     verdict: str
     lhs: str | None = None
     rhs: str | None = None
-    params: dict = field(default_factory=dict)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,12 +55,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fhc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add(name, handler, help_text, *, forest_args=0, term_arg=False, segment=False):
+    def add(name, handler, help_text, *positionals, params=("k",), segment=False):
+        """A subcommand; ``params`` are the arguments its JSON output echoes."""
         p = sub.add_parser(name, help=help_text)
-        for i in range(forest_args):
-            p.add_argument(f"forest{i or ''}" if forest_args > 1 else "forest")
-        if term_arg:
-            p.add_argument("term")
+        for arg in positionals:
+            p.add_argument(arg, type=int if arg == "color" else None)
         p.add_argument("--k", type=int, default=2,
                        help="alphabet size (colors 0..k-1); default 2")
         p.add_argument("--n", type=natural, default=0,
@@ -71,44 +70,39 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--level", type=natural, required=True,
                            help="nesting-level bound for the enumeration")
         p.add_argument("--format", choices=["text", "json", "dot"], default=None)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, params=params)
         return p
 
-    p = add("cmp", _cmd_cmp, "compare two forests: prints <  >  =  ||", forest_args=2)
+    p = add("cmp", _cmd_cmp, "compare two forests: prints <  >  =  ||",
+            "forest", "forest1", params=("k", "n", "oracle"))
     p.add_argument("--oracle", action="store_true",
                    help="decide by brute-force map search (guarded)")
-    add("min", _cmd_min, "minimize a forest to its canonical representative",
-        forest_args=1)
+    add("min", _cmd_min, "minimize a forest to its canonical representative", "forest")
     add("decompose", _cmd_decompose,
-        "canonical decomposition into incomparable minimal trees", forest_args=1)
-    add("encode", _cmd_encode, "canonical term of a forest at shift n",
-        forest_args=1)
-    add("eval", _cmd_eval, "evaluate a term to a forest", term_arg=True)
-    add("g2s", _cmd_g2s, "translate a G-signature term to graded products",
-        term_arg=True)
-    add("s2g", _cmd_s2g, "expand graded products into the G combinator",
-        term_arg=True)
-    add("jump-height", _cmd_jump_height, "jumps above bottom a term denotes",
-        term_arg=True)
+        "canonical decomposition into incomparable minimal trees", "forest")
+    add("encode", _cmd_encode, "canonical term of a forest at shift n", "forest",
+        params=("k", "n"))
+    add("eval", _cmd_eval, "evaluate a term to a forest", "term")
+    add("g2s", _cmd_g2s, "translate a G-signature term to graded products", "term",
+        params=())
+    add("s2g", _cmd_s2g, "expand graded products into the G combinator", "term",
+        params=())
+    add("jump-height", _cmd_jump_height, "jumps above bottom a term denotes", "term",
+        params=())
     p = add("normalize", _cmd_normalize,
-            "restrict grades below n, or into the window [n, n+m) with --m",
-            term_arg=True)
+            "restrict grades below n, or into the window [n, n+m) with --m", "term",
+            params=("n", "m"))
     p.add_argument("--m", type=natural, default=None, help="window width")
-    add("level-subset", _cmd_level_subset,
-        "inclusion verdict between two levels", forest_args=2)
+    add("level-subset", _cmd_level_subset, "inclusion verdict between two levels",
+        "forest", "forest1")
     add("witness", _cmd_witness, "complete partition of a level, symbolically",
-        forest_args=1)
-    p = sub.add_parser("build-T", help="level index for an ordinal and color")
-    p.add_argument("ordinal")
-    p.add_argument("color", type=int)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--n", type=natural, default=0)
-    p.add_argument("--format", choices=["text", "json", "dot"], default=None)
-    p.set_defaults(handler=_cmd_build_t)
+        "forest", params=("k", "n"))
+    add("build-T", _cmd_build_t, "level index for an ordinal and color",
+        "ordinal", "color", params=("k", "n"))
     add("enumerate", _cmd_segment, "quotient segment in the cache format",
-        segment=True)
+        params=("k", "nodes", "level"), segment=True)
     add("diagram", _cmd_segment, "quotient segment as a DOT Hasse diagram",
-        segment=True)
+        params=("k", "nodes", "level"), segment=True)
     return parser
 
 
@@ -143,37 +137,33 @@ def _cmd_cmp(args) -> CommandResult:
         bwd = iterated.colim_leq(b, a, args.n)
     verdict = {(True, True): "=", (True, False): "<",
                (False, True): ">", (False, False): "||"}[(fwd, bwd)]
-    return CommandResult(verdict, serialize_forest(a), serialize_forest(b),
-                         {"k": args.k, "n": args.n, "oracle": bool(args.oracle)})
+    return CommandResult(verdict, serialize_forest(a), serialize_forest(b))
 
 
 def _cmd_min(args) -> CommandResult:
     f = parse_forest(args.forest, _alphabet(args))
     m = iterated.representative(f)
-    return CommandResult(serialize_forest(m), serialize_forest(f),
-                         params={"k": args.k})
+    return CommandResult(serialize_forest(m), serialize_forest(f))
 
 
 def _cmd_decompose(args) -> CommandResult:
     f = parse_forest(args.forest, _alphabet(args))
     parts = iterated.iminimize(f).trees
     text = "\n".join(serialize_tree(t) for t in parts)
-    return CommandResult(text, serialize_forest(f), params={"k": args.k})
+    return CommandResult(text, serialize_forest(f))
 
 
 def _cmd_encode(args) -> CommandResult:
     f = parse_forest(args.forest, _alphabet(args))
     u = terms.encode(f, args.n)
-    return CommandResult(serialize_term(u), serialize_forest(f),
-                         params={"k": args.k, "n": args.n})
+    return CommandResult(serialize_term(u), serialize_forest(f))
 
 
 def _cmd_eval(args) -> CommandResult:
     u = _parse_sterm(args.term)
     _check_term_colors(u, _alphabet(args))
     f = terms.interpret(u)
-    return CommandResult(serialize_forest(f), serialize_term(u),
-                         params={"k": args.k})
+    return CommandResult(serialize_forest(f), serialize_term(u))
 
 
 def _cmd_g2s(args) -> CommandResult:
@@ -199,13 +189,9 @@ def _cmd_jump_height(args) -> CommandResult:
 
 def _cmd_normalize(args) -> CommandResult:
     u = _parse_sterm(args.term)
-    if args.m is None:
-        out = terms.restrict_level(u, args.n)
-        params = {"n": args.n}
-    else:
-        out = terms.window_normalize(u, args.n, args.m)
-        params = {"n": args.n, "m": args.m}
-    return CommandResult(serialize_term(out), serialize_term(u), params=params)
+    out = (terms.restrict_level(u, args.n) if args.m is None
+           else terms.window_normalize(u, args.n, args.m))
+    return CommandResult(serialize_term(out), serialize_term(u))
 
 
 def _cmd_level_subset(args) -> CommandResult:
@@ -213,45 +199,44 @@ def _cmd_level_subset(args) -> CommandResult:
     t = LevelDescriptor(parse_forest(args.forest, k))
     v = LevelDescriptor(parse_forest(args.forest1, k))
     verdict = hierarchy.level_relation(t, v)
-    return CommandResult(verdict, serialize_forest(t.forest),
-                         serialize_forest(v.forest), {"k": args.k})
+    return CommandResult(verdict, serialize_forest(t.forest), serialize_forest(v.forest))
 
 
 def _cmd_witness(args) -> CommandResult:
     t = LevelDescriptor(parse_forest(args.forest, _alphabet(args)))
     w = hierarchy.complete_witness(t, args.n)
-    return CommandResult(serialize_term(w), serialize_forest(t.forest),
-                         params={"k": args.k, "n": args.n})
+    return CommandResult(serialize_term(w), serialize_forest(t.forest))
 
 
 def _cmd_build_t(args) -> CommandResult:
-    if args.k < 2:
-        raise ValueError("finite alphabet required for the level family (k >= 2)")
     alpha = ordinals.parse_ordinal(args.ordinal)
+    if not alpha.is_zero() and args.k >= BUILD_T_BOUND:
+        # every nonzero level index holds a color stacked over all k colors
+        raise OutputBoundError(
+            f"build-T too large: more than {args.k} nodes exceed the bound {BUILD_T_BOUND}")
     f = ordinals.build_t(alpha, args.color, args.n, args.k)
     if f.size > BUILD_T_BOUND:
         raise OutputBoundError(
             f"build-T too large: {f.size} nodes exceed the bound {BUILD_T_BOUND}")
     return CommandResult(serialize_forest(f), ordinals.format_ordinal(alpha),
-                         str(args.color), {"k": args.k, "n": args.n})
+                         str(args.color))
 
 
 def _cmd_segment(args) -> CommandResult:
     seg = hierarchy.enumerate_segment(args.k, args.nodes, args.level)
     write = (hierarchy.hasse_dot if args.command == "diagram"
              else hierarchy.write_segment)
-    return CommandResult(write(seg).rstrip("\n"),
-                         params={"k": args.k, "nodes": args.nodes, "level": args.level})
+    return CommandResult(write(seg).rstrip("\n"))
 
 
-def _render(result: CommandResult, fmt: str | None, command: str) -> str:
-    if fmt is None:
-        fmt = "dot" if command == "diagram" else "text"
-    if fmt == "dot" and command != "diagram":
+def _render(result: CommandResult, args) -> str:
+    fmt = args.format or ("dot" if args.command == "diagram" else "text")
+    if fmt == "dot" and args.command != "diagram":
         raise ValueError("dot output is only available for diagram")
     if fmt == "json":
+        params = {p: vars(args)[p] for p in args.params if vars(args)[p] is not None}
         payload = {"verdict": result.verdict, "lhs": result.lhs,
-                   "rhs": result.rhs, "params": result.params}
+                   "rhs": result.rhs, "params": params}
         return json.dumps(payload, sort_keys=True)
     return result.verdict
 
@@ -261,8 +246,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         result = args.handler(args)
-        print(_render(result, args.format, args.command))
-    except (OracleBoundError, SegmentBoundError, OutputBoundError) as exc:
+        print(_render(result, args))
+    except (OracleBoundError, SegmentBoundError, OutputBoundError, GradeBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

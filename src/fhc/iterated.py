@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import permutations
+from itertools import chain, permutations
 from math import comb
 from operator import attrgetter
 from typing import Callable
@@ -222,9 +222,14 @@ def colim_leq(a: IForest, b: IForest, n: int = 0) -> bool:
     ``<=^0`` is the embedding order, which lifting to a common level would
     not change; ``<=^(n+1)`` compares the ``r_drop`` images at ``n``.
     """
-    for _ in range(n):
+    return forest_leq0(*_dropped(a, b, n))
+
+
+def _dropped(a: IForest, b: IForest, n: int) -> tuple[IForest, IForest]:
+    """``a`` and ``b`` after ``n`` ``r_drop``s, which change nothing at level 0."""
+    for _ in range(min(n, max(a.level, b.level))):
         a, b = r_drop(a), r_drop(b)
-    return forest_leq0(a, b)
+    return a, b
 
 
 def colim_equiv(a: IForest, b: IForest, n: int = 0) -> bool:
@@ -235,8 +240,7 @@ def colim_leq_oracle(
     a: IForest, b: IForest, n: int = 0, bound: int | None = None
 ) -> bool:
     """``colim_leq`` decided by the brute-force map search; small inputs only."""
-    for _ in range(n):
-        a, b = r_drop(a), r_drop(b)
+    a, b = _dropped(a, b, n)
     if a.level == b.level == 0:
         return set(a.trees) <= set(b.trees)
     return forests.h_leq_oracle(a, b, LABEL_ORDER, bound)
@@ -259,10 +263,10 @@ def r_drop(f: IForest) -> IForest:
     )
 
 
-def join(f: IForest, g: IForest) -> IForest:
-    p = max(f.level, g.level)
-    f, g = lift(f, p), lift(g, p)
-    return IForest(p, f.trees + g.trees)
+def join(*fs: IForest) -> IForest:
+    """All trees of the forests, lifted to the highest of their levels."""
+    p = max(f.level for f in fs)
+    return IForest(p, tuple(chain.from_iterable(lift(f, p).trees for f in fs)))
 
 
 def dot_p(f: IForest, g: IForest, p: int = 0) -> IForest:

@@ -75,6 +75,27 @@ class _Tokens:
         self.index += 1
         return tok
 
+    def accept(self, tok: str) -> bool:
+        """Take ``tok`` if it comes next."""
+        if self.peek() != tok:
+            return False
+        self.index += 1
+        return True
+
+    def natural(self, expected: str) -> int:
+        """Take a number, or fail with the message ``expected``."""
+        tok = self.peek()
+        if tok is None or not tok.isdigit():
+            got = "end of input" if tok is None else repr(tok)
+            raise ParseError(f"{expected}, got {got}", self.position())
+        self.index += 1
+        return int(tok)
+
+    def finish(self) -> None:
+        """Refuse any input left over."""
+        if self.peek() is not None:
+            raise ParseError(f"trailing input {self.peek()!r}", self.position())
+
 
 def parse_forest(text: str, k: int | None = 2) -> IForest:
     """Parse forest text; colors must stay below ``k`` (None = unbounded).
@@ -84,14 +105,12 @@ def parse_forest(text: str, k: int | None = 2) -> IForest:
     """
     tokens = _Tokens(text, _FOREST_TOKEN)
     colors: list[int] = []  # every color read, in text order
-    if tokens.peek() == "{":
-        tokens.take("{")
+    if tokens.accept("{"):
         trees = _parse_trees(tokens, "}", colors)
         tokens.take("}")
     else:
         trees = [_parse_tree(tokens, colors)]
-    if tokens.peek() is not None:
-        raise ParseError(f"trailing input {tokens.peek()!r}", tokens.position())
+    tokens.finish()
     bad = [c for c in colors if k is not None and c >= k]
     if bad:
         raise ValueError(f"color {bad[0]} outside alphabet of size {k}")
@@ -104,8 +123,7 @@ def _parse_trees(tokens: _Tokens, close: str, colors: list[int]) -> list[ITree]:
     trees: list[ITree] = []
     if tokens.peek() != close:
         trees.append(_parse_tree(tokens, colors))
-        while tokens.peek() == ",":
-            tokens.take(",")
+        while tokens.accept(","):
             trees.append(_parse_tree(tokens, colors))
     return trees
 
@@ -118,14 +136,10 @@ def _parse_tree(tokens: _Tokens, colors: list[int]) -> ITree:
         tokens.take()
         colors.append(int(tok))
         return iterated.color(int(tok))
-    if tok != "[":
+    if not tokens.accept("["):
         raise ParseError(f"expected a tree, got {tok!r}", tokens.position())
-    tokens.take("[")
     label = _parse_tree(tokens, colors)
-    children: list[ITree] = []
-    if tokens.peek() == ":":
-        tokens.take(":")
-        children = _parse_trees(tokens, "]", colors)
+    children = _parse_trees(tokens, "]", colors) if tokens.accept(":") else []
     tokens.take("]")
     level = max([label.level + 1] + [c.level for c in children])
     return ITree(
@@ -168,8 +182,7 @@ def parse_term(text: str) -> Term:
     """
     tokens = _Tokens(text, _TERM_TOKEN)
     term = _parse_term_expr(tokens)
-    if tokens.peek() is not None:
-        raise ParseError(f"trailing input {tokens.peek()!r}", tokens.position())
+    tokens.finish()
     if _uses_g(term) and _uses_dot(term):
         raise ValueError("mixed signatures: term uses both G(...) and .p")
     return term
@@ -182,8 +195,7 @@ def _parse_term_expr(tokens: _Tokens) -> Term:
     if tok.isdigit():
         tokens.take()
         return Const(int(tok))
-    if tok == "G":
-        tokens.take("G")
+    if tokens.accept("G"):
         tokens.take("(")
         a = _parse_term_expr(tokens)
         tokens.take(",")
@@ -192,8 +204,7 @@ def _parse_term_expr(tokens: _Tokens) -> Term:
         c = _parse_term_expr(tokens)
         tokens.take(")")
         return G(a, b, c)
-    if tok == "(":
-        tokens.take("(")
+    if tokens.accept("("):
         left = _parse_term_expr(tokens)
         op = tokens.take()
         if op == "+":
@@ -201,13 +212,10 @@ def _parse_term_expr(tokens: _Tokens) -> Term:
             tokens.take(")")
             return Join(left, right)
         if op == ".":
-            grade_tok = tokens.take()
-            if not grade_tok.isdigit():
-                raise ParseError(f"grade expected after '.', got {grade_tok!r}",
-                                 tokens.position())
+            grade = tokens.natural("grade expected after '.'")
             right = _parse_term_expr(tokens)
             tokens.take(")")
-            return Dot(int(grade_tok), left, right)
+            return Dot(grade, left, right)
         raise ParseError(f"expected '+' or '.', got {op!r}", tokens.position())
     raise ParseError(f"expected a term, got {tok!r}", tokens.position())
 

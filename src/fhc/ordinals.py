@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import reduce
 
 from . import iterated
 from .iterated import IForest
+from .notation import ParseError, _Tokens
 
 
 @dataclass(frozen=True, order=True)
@@ -102,94 +102,54 @@ def peel_last(a: Ordinal) -> tuple[Ordinal, Ordinal]:
 # ---------------------------------------------------------------------------
 # Text syntax: 0 | naturals | w | w^<ord> | *<nat> coefficients | + sums.
 
-_TOKEN = re.compile(r"\s*(\d+|[w^*+()])")
-
-
-class OrdinalSyntaxError(ValueError):
-    pass
+_ORDINAL_TOKEN = re.compile(r"\s*(\d+|[w^*+()])")
 
 
 def parse_ordinal(text: str) -> Ordinal:
     """Parse the canonical syntax; non-canonical input is rejected, never
-    normalized."""
-    tokens = _tokenize(text)
-    ordinal, pos = _parse_sum(tokens, 0)
-    if pos != len(tokens):
-        raise OrdinalSyntaxError(f"trailing input at token {pos}: {tokens[pos]!r}")
+    normalized.  Errors are ``ParseError``s naming their position."""
+    tokens = _Tokens(text, _ORDINAL_TOKEN)
+    ordinal = _parse_sum(tokens)
+    tokens.finish()
     return ordinal
 
 
-def _tokenize(text: str) -> list[str]:
-    tokens, pos = [], 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise OrdinalSyntaxError(f"bad character at position {pos}: {text[pos]!r}")
-        tokens.append(m.group(1))
-        pos = m.end()
-    if not tokens:
-        raise OrdinalSyntaxError("empty ordinal")
-    return tokens
-
-
-def _parse_sum(tokens: list[str], pos: int) -> tuple[Ordinal, int]:
-    terms: list[tuple[Ordinal, int]] = []
-    while True:
-        (exp, coef), pos = _parse_term(tokens, pos)
-        if terms and ord_compare(exp, terms[-1][0]) >= 0:
-            raise OrdinalSyntaxError("exponents must strictly decrease; input is not canonical")
+def _parse_sum(tokens: _Tokens) -> Ordinal:
+    terms = [_parse_term(tokens)]
+    while tokens.accept("+"):
+        start = tokens.position()
+        exp, coef = _parse_term(tokens)
+        if ord_compare(exp, terms[-1][0]) >= 0:
+            raise ParseError("exponents must strictly decrease; input is not canonical",
+                             start)
+        if coef == 0:
+            raise ParseError("zero coefficient in a sum", start)
         terms.append((exp, coef))
-        if pos < len(tokens) and tokens[pos] == "+":
-            pos += 1
-            continue
-        break
-    if len(terms) == 1 and terms[0][1] == 0:
-        return ZERO, pos
-    if any(c == 0 for _, c in terms):
-        raise OrdinalSyntaxError("zero coefficient in a sum")
-    return Ordinal(tuple(terms)), pos
+    return ZERO if terms == [(ZERO, 0)] else Ordinal(tuple(terms))
 
 
-def _parse_term(tokens: list[str], pos: int) -> tuple[tuple[Ordinal, int], int]:
-    if pos >= len(tokens):
-        raise OrdinalSyntaxError("unexpected end of ordinal")
-    tok = tokens[pos]
-    if tok.isdigit():
-        return (ZERO, int(tok)), pos + 1
-    if tok != "w":
-        raise OrdinalSyntaxError(f"expected 'w' or a number, got {tok!r}")
-    pos += 1
-    exp = ONE
-    if pos < len(tokens) and tokens[pos] == "^":
-        exp, pos = _parse_factor(tokens, pos + 1)
-    coef = 1
-    if pos < len(tokens) and tokens[pos] == "*":
-        pos += 1
-        if pos >= len(tokens) or not tokens[pos].isdigit():
-            raise OrdinalSyntaxError("coefficient expected after '*'")
-        coef = int(tokens[pos])
-        if coef < 1:
-            raise OrdinalSyntaxError("coefficients are positive")
-        pos += 1
-    return (exp, coef), pos
+def _parse_term(tokens: _Tokens) -> tuple[Ordinal, int]:
+    if not tokens.accept("w"):
+        return ZERO, tokens.natural("expected 'w' or a number")
+    exp = _parse_factor(tokens) if tokens.accept("^") else ONE
+    if not tokens.accept("*"):
+        return exp, 1
+    start = tokens.position()
+    coef = tokens.natural("coefficient expected after '*'")
+    if coef < 1:
+        raise ParseError("coefficients are positive", start)
+    return exp, coef
 
 
-def _parse_factor(tokens: list[str], pos: int) -> tuple[Ordinal, int]:
+def _parse_factor(tokens: _Tokens) -> Ordinal:
     """A power atom: nat, w, w^factor, or a parenthesized sum."""
-    if pos < len(tokens) and tokens[pos] == "(":
-        ordinal, pos = _parse_sum(tokens, pos + 1)
-        if pos >= len(tokens) or tokens[pos] != ")":
-            raise OrdinalSyntaxError("unbalanced parenthesis in exponent")
-        return ordinal, pos + 1
-    if pos < len(tokens) and tokens[pos].isdigit():
-        return from_int(int(tokens[pos])), pos + 1
-    if pos < len(tokens) and tokens[pos] == "w":
-        pos += 1
-        if pos < len(tokens) and tokens[pos] == "^":
-            inner, pos = _parse_factor(tokens, pos + 1)
-            return omega_pow(inner), pos
-        return OMEGA, pos
-    raise OrdinalSyntaxError("exponent expected after '^'")
+    if tokens.accept("("):
+        ordinal = _parse_sum(tokens)
+        tokens.take(")")
+        return ordinal
+    if tokens.accept("w"):
+        return omega_pow(_parse_factor(tokens)) if tokens.accept("^") else OMEGA
+    return from_int(tokens.natural("exponent expected after '^'"))
 
 
 def format_ordinal(a: Ordinal) -> str:
@@ -237,13 +197,13 @@ def build_t(alpha: Ordinal, i: int, n: int, k: int) -> IForest:
             beta, gamma = peel_last(a)
             if gamma.is_zero():
                 # successor: col stacked over the join of all lower levels
-                everyone = reduce(iterated.join, [rec(beta, j, grade) for j in range(k)])
+                everyone = iterated.join(*(rec(beta, j, grade) for j in range(k)))
                 out = iterated.dot_p(iterated.color_forest(col), everyone, grade)
             elif beta.is_zero():
                 # a pure power of omega recurses into the exponent, one grade up
                 out = rec(gamma, col, grade + 1)
             else:
-                everyone = reduce(iterated.join, [rec(beta, j, grade) for j in range(k)])
+                everyone = iterated.join(*(rec(beta, j, grade) for j in range(k)))
                 head = rec(omega_pow(gamma), col, grade)
                 out = iterated.dot_p(head, everyone, grade)
         memo[key] = out

@@ -68,8 +68,20 @@ STerm = Const | Join | Dot
 Term = Const | Join | G | Dot
 
 
+#: the highest grade whose jump chain ``jump_term`` builds; the chain nests
+#: ``n`` deep, and nothing deeper than the Python recursion limit prints
+JUMP_BOUND = 1000
+
+
+class GradeBoundError(RuntimeError):
+    """Raised when a jump chain would be deeper than JUMP_BOUND."""
+
+
 def jump_term(n: int) -> GTerm:
     """The n-th jump constant: 0 for n = 0, then G(0, 1, previous)."""
+    if n > JUMP_BOUND:
+        raise GradeBoundError(
+            f"jump chain too deep: grade {n} exceeds the bound {JUMP_BOUND}")
     t: GTerm = Const(0)
     for _ in range(n):
         t = G(Const(0), Const(1), t)

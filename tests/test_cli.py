@@ -107,6 +107,35 @@ class TestCommands:
         assert payload["params"]["k"] == 2
 
 
+    @pytest.mark.parametrize("argv, params", [
+        (("normalize", "(1 .0 0)", "--n", "1"), {"n": 1}),
+        (("normalize", "(1 .0 0)", "--n", "1", "--m", "2"), {"n": 1, "m": 2}),
+        (("g2s", "G(0,1,0)"), {}),
+        (("build-T", "w", "1", "--k", "3"), {"k": 3, "n": 0}),
+        (("cmp", "0", "1", "--oracle"), {"k": 2, "n": 0, "oracle": True}),
+        (("enumerate", "--nodes", "1", "--level", "0"), {"k": 2, "nodes": 1, "level": 0}),
+    ])
+    def test_json_params_as_declared(self, capsys, argv, params):
+        # each subcommand echoes its declared arguments; an unset --m is left out
+        code, out = capture(capsys, *argv, "--format", "json")
+        assert code == 0 and json.loads(out)["params"] == params
+
+
+def _subcommands():
+    from fhc.cli import build_parser
+
+    (action,) = [a for a in build_parser()._actions if a.dest == "command"]
+    return sorted(action.choices)
+
+
+@pytest.mark.parametrize("command", _subcommands())
+def test_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: fhc {command} ")
+
+
 class TestExitCodes:
     def test_unknown_command(self):
         proc = run("frobnicate")
@@ -155,6 +184,40 @@ class TestExitCodes:
         assert capsys.readouterr() == ("", (
             "error: build-T too large: 1690200800304305868662270940501 nodes"
             " exceed the bound 1000000\n"))
+
+    def test_build_t_alphabet_guard(self, capsys):
+        # a nonzero level index stacks a color over all k colors: refused
+        # before the k colors are built
+        assert main(["build-T", "w^2*2+w+3", "3", "--n", "7", "--k", "1000000"]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: build-T too large: more than 1000000 nodes exceed the bound 1000000\n"))
+        assert main(["build-T", "0", "3", "--k", str(10**12)]) == 0
+        assert capsys.readouterr().out == "{3}\n"
+
+    @pytest.mark.parametrize("argv, grade", [
+        (("s2g", "(0 .1000000 1)"), 1000000),
+        (("jump-height", "(0 .4000000 1)"), 4000000),
+        (("witness", "[0:[1]]", "--n", "1000000"), 1000000),
+        (("s2g", "(0 .1001 1)"), 1001),
+    ])
+    def test_jump_chain_guard(self, capsys, argv, grade):
+        # refused before the chain of `grade` nested G's is built
+        assert main(list(argv)) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: jump chain too deep: grade {grade} exceeds the bound 1000\n"))
+
+    @pytest.mark.parametrize("oracle", [(), ("--oracle",)])
+    def test_cmp_relation_level_past_the_forests(self, capsys, oracle):
+        # r_drop fixes level 0, so --n 10**12 answers at once, as --n 2 does
+        argv = ("cmp", "{0,1}", "[0:[1]]", *oracle)
+        assert capture(capsys, *argv, "--n", str(10**12)) == capture(capsys, *argv, "--n", "2")
+        assert capture(capsys, *argv, "--n", "2") == (0, "=\n")
+
+    def test_ordinal_syntax_error_names_position(self, capsys):
+        assert main(["build-T", "w^2+w^3", "0"]) == 1
+        assert capsys.readouterr() == ("", (
+            "error: exponents must strictly decrease; input is not canonical"
+            " (at position 4)\n"))
 
     def test_segment_guard(self):
         proc = run("enumerate", "--k", "9", "--nodes", "9", "--level", "3")

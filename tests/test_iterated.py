@@ -21,6 +21,7 @@ from fhc.iterated import (
     canonical_tree,
     colim_equiv,
     colim_leq,
+    colim_leq_oracle,
     color,
     color_forest,
     count_forests,
@@ -231,6 +232,17 @@ class TestColimLeq:
                 expected = colim_leq(sa, sb, 0)
                 for j in range(1, n + 1):
                     assert colim_leq(sa, sb, j) == expected
+
+
+    def test_drops_stop_at_level_zero(self):
+        # r_drop fixes level 0, so a relation level past both operands' levels
+        # answers at once, as the definition's n-fold drop does
+        fs = some_forests(k=3, max_level=3)
+        for a, b in itertools.islice(itertools.product(fs, fs), 0, None, 4):
+            top = max(a.level, b.level)
+            expected = _lifted_leq(a, b, top + 2)
+            assert colim_leq(a, b, 10**12) == expected, (a, b)
+            assert colim_leq_oracle(a, b, 10**12) == expected, (a, b)
 
 
 def _lifted_leq(a, b, n):

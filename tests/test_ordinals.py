@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import itertools
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fhc import iterated
+from fhc import iterated, ordinals
+from fhc.notation import ParseError
 from fhc.ordinals import (
     OMEGA,
     ONE,
@@ -105,6 +107,21 @@ class TestSyntax:
         with pytest.raises(ValueError):
             parse_ordinal(bad)
 
+    @pytest.mark.parametrize("bad, position", [
+        ("", 0), (" ", 0), ("x", 0), ("w+", 2), ("w^", 2), ("w*", 2), ("w*0", 2),
+        ("w*x", 2), ("0+w", 2), ("w+0", 2), ("w+w", 2), ("w^(2", 4), ("(w)", 0),
+        ("w)", 1), ("1 2", 2), ("w^w^", 4), ("w^2+w^3", 4), ("w^2+w^(1", 8),
+    ])
+    def test_syntax_errors_name_their_position(self, bad, position):
+        with pytest.raises(ParseError) as exc:
+            parse_ordinal(bad)
+        assert exc.value.position == position
+        assert str(exc.value).endswith(f"(at position {position})")
+
+    def test_surrounding_blanks_allowed(self):
+        # the tokenizer skips blanks, as for forests and terms
+        assert parse_ordinal(" w^2 * 2 + w ") == parse_ordinal("w^2*2+w")
+
     @settings(max_examples=100, deadline=None)
     @given(small_ordinals())
     def test_format_parse_identity(self, a):
@@ -135,6 +152,22 @@ class TestBuildT:
             for i in (0, 1):
                 t = build_t(parse_ordinal(text), i, 0, 2)
                 assert len(iterated.iminimize(t).trees) == 1, (text, i)
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_one_pass_join_equals_pairwise(self, monkeypatch, k):
+        # lifting composes, so joining the k lower levels at once gives the
+        # forest that joining them pairwise, left to right, gives
+        texts = ["0", "1", "3", "w", "w+1", "w+3", "w*2", "w*2+1", "w^2", "w^2+w",
+                 "w^2*2", "w^2*2+w", "w^2*2+w+3"]
+        ords = [parse_ordinal(t) for t in texts]
+        one_pass = [build_t(a, i, n, k) for a in ords for i in (0, k - 1) for n in (0, 1)]
+
+        def pairwise(f, g):
+            p = max(f.level, g.level)
+            return iterated.IForest(p, iterated.lift(f, p).trees + iterated.lift(g, p).trees)
+
+        monkeypatch.setattr(ordinals.iterated, "join", lambda *fs: reduce(pairwise, fs))
+        assert one_pass == [build_t(a, i, n, k) for a in ords for i in (0, k - 1) for n in (0, 1)]
 
     def test_infinite_alphabet_rejected(self):
         with pytest.raises(ValueError, match="finite alphabet"):

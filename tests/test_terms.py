@@ -11,9 +11,11 @@ from hypothesis import given, settings, strategies as st
 from fhc import iterated
 from fhc.iterated import colim_equiv, colim_leq, color_forest, dot_p, enumerate_forests
 from fhc.terms import (
+    JUMP_BOUND,
     Const,
     Dot,
     G,
+    GradeBoundError,
     Join,
     encode,
     g_to_s,
@@ -69,6 +71,16 @@ class TestJumpHeight:
     def test_jump_constants(self):
         for m in range(7):
             assert jump_height(jump_term(m)) == m
+
+    def test_jump_chain_guard(self):
+        # refused before the chain is built, naming the grade and the bound
+        chain = jump_term(JUMP_BOUND)
+        assert sum(isinstance(x, G) for x in subterms(chain)) == JUMP_BOUND
+        with pytest.raises(GradeBoundError, match=(
+                f"^jump chain too deep: grade {JUMP_BOUND + 1} exceeds the bound {JUMP_BOUND}$")):
+            jump_term(JUMP_BOUND + 1)
+        with pytest.raises(GradeBoundError):
+            s_to_g(Dot(10**12, C0, C1))
 
     def test_collapsing_combinator(self):
         assert jump_height(G(C0, C0, jump_term(1))) == 0
