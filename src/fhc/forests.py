@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from functools import reduce
-from operator import and_, or_
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator
 
 DEFAULT_ORACLE_BOUND = 10_000_000
 ORACLE_BOUND_ENV = "FHC_ORACLE_BOUND"
@@ -145,23 +143,6 @@ def h_leq(a, b, q: LabelPreorder) -> bool:
     return all(
         any(_tree_leq(ta, tb, q, memo) for tb in b.trees) for ta in a.trees
     )
-
-
-def h_leq_rows(fs: Sequence, q: LabelPreorder) -> list[int]:
-    """``h_leq`` on all pairs of ``fs``: bit ``j`` of row ``i`` is set when
-    ``fs[i]`` embeds into ``fs[j]``.  Each pair of distinct trees is decided
-    once, with one memo; a tree's up-set is the forests holding a tree above
-    it, and a row intersects the up-sets of its forest's trees."""
-    holders: dict = {}
-    for i, f in enumerate(fs):
-        for t in f.trees:
-            holders[t] = holders.get(t, 0) | 1 << i
-    memo: dict = {}
-    above = {
-        t: reduce(or_, (h for u, h in holders.items() if _tree_leq(t, u, q, memo)), 0)
-        for t in holders
-    }
-    return [reduce(and_, (above[t] for t in f.trees), (1 << len(fs)) - 1) for f in fs]
 
 
 def h_equiv(a, b, q: LabelPreorder) -> bool:

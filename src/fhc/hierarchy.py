@@ -8,20 +8,21 @@ hierarchy does not collapse, so non-order implies non-inclusion.  The
 complete member of a level is returned symbolically, as the mind-change
 term of the descriptor.
 
-The quotient machinery enumerates the minimal forests within resource
-bounds, one per equivalence class, and emits the resulting poset as a Hasse
-diagram (DOT text) or a line-oriented cache file.  Both outputs are
-deterministic, byte for byte.
+The quotient machinery generates the minimal forests within resource
+bounds, one per equivalence class, decides their order from one table of
+tree up-sets built bottom-up over subtrees, reads the covers off it, and
+emits the resulting poset as a Hasse diagram (DOT text) or a line-oriented
+cache file.  Both outputs are deterministic, byte for byte.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import or_
+from operator import and_, or_
 
-from . import forests, iterated, notation, terms
-from .iterated import LABEL_ORDER, IForest
+from . import iterated, notation, terms
+from .iterated import IForest
 from .terms import GTerm
 
 EQUAL = "equal"
@@ -100,15 +101,21 @@ def enumerate_segment(
 
     Each class comes from its minimal forest alone, named as
     ``iterated.representative`` names it; classes appear in order of their
-    smallest member.  Refuse when the raw forests exceed ``bound``.
+    smallest member.  Refuse when the raw forests exceed ``bound``; without
+    colors the bottom class is all there is.
     """
     if k < 0:
         raise ValueError(f"alphabet size k must be non-negative, got {k}")
+    if k == 0:
+        return QuotientSegment(k, max_nodes, max_level, (IForest(0),), ())
+    # with a color, every size and level holds a forest: huge bounds go uncounted
+    least = 1 + max_nodes * (max_level + 1)
+    if least > bound:
+        raise SegmentBoundError(
+            f"segment too large: at least {least} forests exceed the bound {bound}")
     total = iterated.count_forests(k, max_nodes, max_level)
     if total > bound:
-        raise SegmentBoundError(
-            f"segment too large: {total} forests exceed the bound {bound}"
-        )
+        raise SegmentBoundError(f"segment too large: {total} forests exceed the bound {bound}")
     minimal = iterated.minimal_forests(k, max_nodes, max_level)
     reps = list(dict.fromkeys(iterated.canonical(iterated.unlift(f)) for f in minimal))
     covers = _transitive_reduction(reps)
@@ -116,16 +123,67 @@ def enumerate_segment(
 
 
 def _transitive_reduction(reps: list[IForest]) -> tuple[tuple[int, int], ...]:
-    # the strict order as bitset rows, decided on the classes at their own levels
-    rows = forests.h_leq_rows(reps, LABEL_ORDER)
-    less = [row & ~(1 << i) for i, row in enumerate(rows)]
-    through = [reduce(or_, (less[m] for m in _bits(row)), 0) for row in less]
-    return tuple((i, j) for i, row in enumerate(less) for j in _bits(row & ~through[i]))
+    # rows over a linear extension, larger up-sets (lower classes) first: a
+    # row's lowest class left is a cover and drops all above it (Aho, Garey &
+    # Ullman), so only covers are visited
+    sizes = [row.bit_count() for row in _class_rows(reps)]
+    order = sorted(range(len(reps)), key=lambda i: -sizes[i])
+    rows = _class_rows([reps[i] for i in order])
+    covers = []
+    for i, row in enumerate(rows):
+        row &= ~(1 << i)
+        while row:
+            j = (row & -row).bit_length() - 1
+            covers.append((order[i], order[j]))
+            row &= ~rows[j]
+    return tuple(sorted(covers))
 
 
-def _bits(x: int) -> list[int]:
-    """The indices of the set bits of ``x``, ascending."""
-    return [m for m, bit in enumerate(reversed(bin(x))) if bit == "1"]
+def _class_rows(reps: list[IForest]) -> list[int]:
+    """Bit ``j`` of row ``i`` is set when ``reps[i] <= reps[j]``.
+
+    Read off one table of up-sets, bitsets over a pool (the classes' trees
+    closed under labels and children, each after its parts) and the classes.
+    It is built bottom-up over subtrees, as tree inclusion is (Kilpelainen &
+    Mannila): t sits below what holds a node u with label t <= label u and
+    every child of t below u.  A color is its own label.
+    """
+    pool, holding, labelled = {}, [], []
+
+    def visit(ts) -> None:
+        for t in ts:
+            if t not in pool:
+                visit((t.label, *t.children) if t.level else ())
+                p = pool[t] = len(pool)
+                holding.append(1 << p)
+                labelled.append(0)
+                labelled[pool[t.label] if t.level else p] |= 1 << p
+
+    def labelled_in(s: int) -> int:  # the pool trees labelled by a member of s
+        bits = enumerate(reversed(bin(s & (1 << n) - 1)))
+        return reduce(or_, (labelled[q] for q, bit in bits if bit == "1"), 0)
+
+    visit(t for f in reps for t in f.trees)
+    n = len(pool)
+    for j, f in enumerate(reps):
+        for t in f.trees:
+            holding[pool[t]] |= 1 << n + j  # a class holds its trees
+    for p, t in reversed(list(enumerate(pool))):
+        for c in t.children:
+            holding[pool[c]] |= holding[p]
+    up, above = [0] * n, [0] * n  # above: the trees labelled above a label
+    for p, t in enumerate(pool):
+        cands = 1 << p
+        if t.level:
+            cands = reduce(and_, (up[pool[c]] for c in t.children), above[pool[t.label]])
+        while cands:  # the lowest candidate holds no other: holders come later
+            up[p] |= holding[(cands & -cands).bit_length() - 1]
+            cands &= ~up[p]
+            if not (cands or t.level):  # a color sits below what is labelled above it
+                cands = labelled_in(up[p]) & ~up[p]
+        above[p] = labelled_in(up[p]) if labelled[p] else 0
+    full = (1 << n + len(reps)) - 1
+    return [reduce(and_, (up[pool[t]] for t in f.trees), full) >> n for f in reps]
 
 
 def hasse_dot(seg: QuotientSegment) -> str:

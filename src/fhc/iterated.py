@@ -345,17 +345,22 @@ def minimal_forests(k: int, max_size: int, max_level: int) -> list[IForest]:
 
     Relies on closure: the label and each child of a minimal tree are minimal
     trees, so a minimal tree is a minimal label over minimal children that
-    ``_min_tree`` leaves as it is, and a minimal forest is a multiset of
-    minimal trees none of which embeds into another.
+    minimization leaves as it is, and a minimal forest is a multiset of
+    minimal trees none of which embeds into another.  Over minimal parts the
+    test is local: no child is labelled below the root or embeds into another
+    child, and a root with one child is not labelled below that child's label.
     """
     return [
-        f for f in _forests(k, max_size, max_level, _is_minimal)
+        f for f in _forests(k, max_size, max_level, _locally_minimal)
         if not any(tree_leq0(a, b) for a, b in permutations(f.trees, 2))
     ]
 
 
-def _is_minimal(t: ITree) -> bool:
-    return forests._min_tree(t, LABEL_ORDER) is t
+def _locally_minimal(t: ITree) -> bool:
+    kids = t.children
+    return not (any(tree_leq0(c.label, t.label) for c in kids)
+                or any(tree_leq0(a, b) for a, b in permutations(kids, 2))
+                or len(kids) == 1 and tree_leq0(t.label, kids[0].label))
 
 
 def _forests(k: int, max_size: int, max_level: int, keep: Callable) -> list[IForest]:

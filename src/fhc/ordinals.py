@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from . import iterated
 from .iterated import IForest
 from .notation import ParseError, _Tokens
+from .terms import check_grade
 
 
 @dataclass(frozen=True, order=True)
@@ -195,16 +196,16 @@ def build_t(alpha: Ordinal, i: int, n: int, k: int) -> IForest:
             out = iterated.color_forest(col)
         else:
             beta, gamma = peel_last(a)
-            if gamma.is_zero():
-                # successor: col stacked over the join of all lower levels
-                everyone = iterated.join(*(rec(beta, j, grade) for j in range(k)))
-                out = iterated.dot_p(iterated.color_forest(col), everyone, grade)
-            elif beta.is_zero():
+            if beta.is_zero() and not gamma.is_zero():
                 # a pure power of omega recurses into the exponent, one grade up
                 out = rec(gamma, col, grade + 1)
             else:
+                # col (successor) or the last power, stacked over the join of
+                # all lower levels
+                check_grade(grade)
                 everyone = iterated.join(*(rec(beta, j, grade) for j in range(k)))
-                head = rec(omega_pow(gamma), col, grade)
+                head = (iterated.color_forest(col) if gamma.is_zero()
+                        else rec(omega_pow(gamma), col, grade))
                 out = iterated.dot_p(head, everyone, grade)
         memo[key] = out
         return out

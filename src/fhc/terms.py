@@ -68,20 +68,24 @@ STerm = Const | Join | Dot
 Term = Const | Join | G | Dot
 
 
-#: the highest grade whose jump chain ``jump_term`` builds; the chain nests
-#: ``n`` deep, and nothing deeper than the Python recursion limit prints
+#: the highest grade of a jump chain or graded product; either nests as deep
+#: as its grade, and nothing deeper than the Python recursion limit prints
 JUMP_BOUND = 1000
 
 
 class GradeBoundError(RuntimeError):
-    """Raised when a jump chain would be deeper than JUMP_BOUND."""
+    """Raised when a jump chain or product would be deeper than JUMP_BOUND."""
+
+
+def check_grade(p: int, what: str = "graded product") -> None:
+    """Refuse ``what`` at grade ``p`` past JUMP_BOUND, before it is built."""
+    if p > JUMP_BOUND:
+        raise GradeBoundError(f"{what} too deep: grade {p} exceeds the bound {JUMP_BOUND}")
 
 
 def jump_term(n: int) -> GTerm:
     """The n-th jump constant: 0 for n = 0, then G(0, 1, previous)."""
-    if n > JUMP_BOUND:
-        raise GradeBoundError(
-            f"jump chain too deep: grade {n} exceeds the bound {JUMP_BOUND}")
+    check_grade(n, "jump chain")
     t: GTerm = Const(0)
     for _ in range(n):
         t = G(Const(0), Const(1), t)
@@ -240,6 +244,7 @@ def interpret(u: STerm) -> IForest:
         case Join(left, right):
             return iterated.join(interpret(left), interpret(right))
         case Dot(grade, left, right):
+            check_grade(grade)
             return iterated.dot_p(interpret(left), interpret(right), grade)
     raise TypeError(f"not a star-signature term: {u!r}")
 

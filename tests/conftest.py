@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import random
+from functools import reduce
+from itertools import permutations
+from operator import and_, or_
 
+from fhc import forests, iterated
 from fhc.forests import LForest, LTree
-from fhc import iterated
 
 
 def all_lforests(k: int, max_nodes: int) -> list[LForest]:
@@ -46,3 +49,34 @@ def random_itree(
         random_itree(rng, k, level, max(1, max_nodes // 2)) for _ in range(n_children)
     )
     return iterated.ITree(level, label, children)
+
+
+def h_leq_rows(fs: list, q: forests.LabelPreorder) -> list[int]:
+    """Reference order rows: bit ``j`` of row ``i`` is set when ``fs[i]``
+    embeds into ``fs[j]``.  Each pair of distinct trees is decided once by
+    ``forests._tree_leq``, with one memo; a tree's up-set is the forests
+    holding a tree above it, and a row intersects the up-sets of its trees."""
+    holders: dict = {}
+    for i, f in enumerate(fs):
+        for t in f.trees:
+            holders[t] = holders.get(t, 0) | 1 << i
+    memo: dict = {}
+    above = {
+        t: reduce(or_, (h for u, h in holders.items() if forests._tree_leq(t, u, q, memo)), 0)
+        for t in holders
+    }
+    return [reduce(and_, (above[t] for t in f.trees), (1 << len(fs)) - 1) for f in fs]
+
+
+def is_minimal_by_minimizing(t: iterated.ITree) -> bool:
+    """Reference minimality: a whole minimization leaves ``t`` as it is."""
+    return forests._min_tree(t, iterated.LABEL_ORDER) is t
+
+
+def minimal_forests_by_minimizing(k: int, max_size: int, max_level: int) -> list:
+    """Reference ``iterated.minimal_forests``: candidate trees kept by a whole
+    minimization instead of the local test."""
+    return [
+        f for f in iterated._forests(k, max_size, max_level, is_minimal_by_minimizing)
+        if not any(iterated.tree_leq0(a, b) for a, b in permutations(f.trees, 2))
+    ]

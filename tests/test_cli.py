@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -206,6 +209,21 @@ class TestExitCodes:
         assert capsys.readouterr() == ("", (
             f"error: jump chain too deep: grade {grade} exceeds the bound 1000\n"))
 
+    @pytest.mark.parametrize("argv, grade", [
+        (("eval", "(0 .5000 1)"), 5000),
+        (("eval", "((0 .0 1) .1001 1)"), 1001),
+        (("build-T", "1", "0", "--n", "5000"), 5000),
+        (("build-T", "w", "0", "--n", "1000"), 1001),  # a power of w recurses a grade up
+    ])
+    def test_product_grade_guard(self, capsys, argv, grade):
+        # refused before the product nests `grade` deep; nothing in the input nests
+        assert main(list(argv)) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: graded product too deep: grade {grade} exceeds the bound 1000\n"))
+
+    def test_grade_guard_spares_what_builds_no_product(self, capsys):
+        assert capture(capsys, "build-T", "0", "1", "--n", "5000") == (0, "{1}\n")
+
     @pytest.mark.parametrize("oracle", [(), ("--oracle",)])
     def test_cmp_relation_level_past_the_forests(self, capsys, oracle):
         # r_drop fixes level 0, so --n 10**12 answers at once, as --n 2 does
@@ -223,6 +241,59 @@ class TestExitCodes:
         proc = run("enumerate", "--k", "9", "--nodes", "9", "--level", "3")
         assert proc.returncode == 2
         assert "segment too large" in proc.stderr
+
+
+class TestSegmentBounds:
+    @pytest.mark.parametrize("argv, code, err", [
+        (("enumerate", "--nodes", "3", "--level", str(10**12)), 2,
+         "error: segment too large: at least 3000000000004 forests exceed the bound 200000\n"),
+        (("diagram", "--k", "0", "--nodes", str(10**12), "--level", "1"), 0, ""),
+        (("enumerate", "--k", str(10**12), "--nodes", str(10**12), "--level", "1"), 2,
+         "error: segment too large: at least 2000000000001 forests exceed the bound 200000\n"),
+    ], ids=["huge-level", "no-colors", "huge-k-and-nodes"])
+    def test_huge_bounds_end_at_once(self, capsys, argv, code, err):
+        # every size and level holds a forest, so these are refused uncounted;
+        # without colors the bottom class is the whole segment
+        start = time.perf_counter()
+        assert main(list(argv)) == code
+        assert time.perf_counter() - start < 2
+        captured = capsys.readouterr()
+        assert captured.err == err
+        if code == 0:
+            assert captured.out == 'digraph segment {\n  rankdir=BT;\n  n0 [label="{}"];\n}\n'
+
+    @pytest.mark.parametrize("segment, digest", [
+        ((3, 5, 2), "8af271333fd803aff6fa70abec3a438b357debd6205e4e975c81ce3fbd06c8d3"),
+        ((3, 6, 1), "a7a489377d44eaefb709d721174cb915303659c57e71e76fbb934883622bc340"),
+        ((4, 5, 1), "908d8c7fe791de09d6ab281d304177c083995b6cc4a978c4444f9a0361450299"),
+    ], ids=["k3-n5-l2", "k3-n6-l1", "k4-n5-l1"])
+    def test_diagram_digest(self, capsys, segment, digest):
+        # recorded from the pairwise order of _tree_leq before the order table
+        k, nodes, level = map(str, segment)
+        assert main(["diagram", "--k", k, "--nodes", nodes, "--level", level]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+    def test_dense_segment_stays_small(self):
+        # 9384 classes; the child reads its own peak resident set when done
+        script = (
+            "import sys\n"
+            "from fhc.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "with open('/proc/self/status') as status:\n"
+            "    hwm = [line.split()[1] for line in status if line.startswith('VmHWM:')]\n"
+            "print(hwm[0], file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "enumerate", "--k", "4", "--nodes", "6",
+             "--level", "1"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines().index("covers:") == 1 + 9384
+        assert int(proc.stderr) < 100 * 1024  # kB
 
 
 class TestDeepInput:

@@ -18,7 +18,6 @@ from fhc.forests import (
     h_equiv,
     h_leq,
     h_leq_oracle,
-    h_leq_rows,
     is_join_irreducible,
     join,
     minimize,
@@ -26,7 +25,7 @@ from fhc.forests import (
     singleton,
     tree,
 )
-from conftest import all_lforests
+from conftest import all_lforests, h_leq_rows
 
 CHAIN01 = forest(tree(0, tree(1)))
 CHAIN10 = forest(tree(1, tree(0)))
@@ -75,6 +74,7 @@ class TestHLeq:
 
     @pytest.mark.parametrize("q", [ANTICHAIN, TOTAL], ids=["antichain", "chain"])
     def test_rows_match_pairwise(self, q):
+        # the reference rows that the segment order table is checked against;
         # the family repeats trees across forests and holds equivalent
         # forests, which must carry each other's bits
         fs = all_lforests(2, 3) + [join(TWO, TWO), LForest(())]

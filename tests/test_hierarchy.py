@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import itertools
 import re
+from functools import reduce
+from operator import or_
 
 import pytest
 
+from fhc import forests, iterated, terms
 from fhc import hierarchy as hy
-from fhc import iterated, terms
 from fhc.hierarchy import (
     EQUAL,
     INCOMPARABLE,
@@ -23,6 +25,7 @@ from fhc.hierarchy import (
     write_segment,
 )
 from fhc.notation import parse_forest, serialize_forest
+from conftest import h_leq_rows
 
 CHAIN = parse_forest("[0:[1:]]")
 TWO = parse_forest("{0,1}")
@@ -191,6 +194,95 @@ def _pairwise_covers(classes: list) -> tuple:
         for j in range(n)
         if less[i][j] and not any(less[i][m] and less[m][j] for m in range(n))
     )
+
+
+class TestOrderTable:
+    """The segment order is read off one table of tree up-sets."""
+
+    @pytest.mark.parametrize("segment", [
+        (2, 5, 2), (4, 4, 1), (3, 4, 2), (3, 5, 1), (2, 5, 3),
+    ], ids="k{0[0]}-n{0[1]}-l{0[2]}".format)
+    def test_rows_match_reference(self, segment):
+        # the reference decides every pair of distinct trees by _tree_leq
+        classes = list(enumerate_segment(*segment).classes)
+        rows = hy._class_rows(classes)
+        assert rows == h_leq_rows(classes, iterated.LABEL_ORDER)
+
+    def test_covers_make_no_tree_leq_call(self, monkeypatch):
+        classes = list(enumerate_segment(3, 4, 2).classes)
+        calls = []
+        real = forests._tree_leq
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(forests, "_tree_leq", counting)
+        hy._transitive_reduction(classes)
+        assert calls == []
+        # the counter does see the recursion when it runs
+        forests.h_leq(classes[5], classes[9], iterated.LABEL_ORDER)
+        assert calls
+
+
+def _recolor(f: iterated.IForest, perm) -> iterated.IForest:
+    """``f`` with every color ``c`` replaced by ``perm[c]``."""
+    def tree(t):
+        if t.level == 0:
+            return iterated.color(perm[t.label])
+        return iterated.ITree(t.level, tree(t.label), tuple(tree(c) for c in t.children))
+
+    return iterated.IForest(f.level, tuple(tree(t) for t in f.trees))
+
+
+def _order_from_covers(n: int, covers) -> list[int]:
+    """Bit ``j`` of row ``i`` is set when the covers lead from ``i`` up to ``j``."""
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for lo, hi in covers:
+        succ[lo].append(hi)
+    ups: dict = {}
+
+    def up(i: int) -> int:
+        if i not in ups:
+            ups[i] = reduce(or_, map(up, succ[i]), 1 << i)
+        return ups[i]
+
+    return [up(i) for i in range(n)]
+
+
+def _image(classes, perm) -> list[int]:
+    """Where recoloring by ``perm`` sends each class, as class indices."""
+    where = {c: i for i, c in enumerate(classes)}
+    return [where[iterated.representative(_recolor(c, perm))] for c in classes]
+
+
+class TestTheory:
+    """Checks from the theory, on the classes and covers alone."""
+
+    @pytest.mark.parametrize("segment", [
+        (2, 5, 2), (2, 6, 2), (2, 7, 1), (2, 5, 3),
+    ], ids="k{0[0]}-n{0[1]}-l{0[2]}".format)
+    def test_wadge_lemma_for_two_colors(self, segment):
+        # a <= b or b <= swap(a), for all classes a, b
+        seg = enumerate_segment(*segment)
+        n = len(seg.classes)
+        rows = _order_from_covers(n, seg.covers)
+        for i, j in itertools.product(range(n), repeat=2):
+            assert bool(rows[i] >> j & 1) == iterated.colim_leq(
+                seg.classes[i], seg.classes[j], 0)
+        swap = _image(seg.classes, (1, 0))
+        for a, b in itertools.product(range(n), repeat=2):
+            assert rows[a] >> b & 1 or rows[b] >> swap[a] & 1, (a, b)
+
+    @pytest.mark.parametrize("segment", [(3, 4, 2), (4, 4, 1)],
+                             ids="k{0[0]}-n{0[1]}-l{0[2]}".format)
+    def test_color_permutations_are_automorphisms(self, segment):
+        seg = enumerate_segment(*segment)
+        covers = set(seg.covers)
+        for perm in itertools.permutations(range(segment[0])):
+            image = _image(seg.classes, perm)
+            assert sorted(image) == list(range(len(seg.classes))), perm
+            assert {(image[lo], image[hi]) for lo, hi in covers} == covers, perm
 
 
 class TestHasseDot:

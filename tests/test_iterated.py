@@ -39,7 +39,7 @@ from fhc.iterated import (
     unlift,
 )
 from fhc.notation import parse_forest
-from conftest import random_iforest
+from conftest import minimal_forests_by_minimizing, random_iforest
 
 C0, C1 = color(0), color(1)
 F0 = color_forest(0)
@@ -474,6 +474,14 @@ class TestEnumeration:
                 for a, b in itertools.permutations(f.trees, 2)
             ), f
             assert iminimize(f) == f
+
+    @pytest.mark.parametrize("k, n, level", [
+        (4, 4, 1), (3, 5, 2), (2, 6, 3), (3, 6, 1), (2, 5, 3), (3, 4, 2),
+    ])
+    def test_local_minimality_matches_whole_minimization(self, k, n, level):
+        # over minimal label and children, three local tests decide whether a
+        # whole minimization would leave a candidate tree as it is
+        assert minimal_forests(k, n, level) == minimal_forests_by_minimizing(k, n, level)
 
     def test_minimal_forests_are_a_subsequence_of_all_forests(self):
         fs = enumerate_forests(3, 4, 2)
