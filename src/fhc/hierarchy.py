@@ -226,6 +226,9 @@ def read_segment(text: str) -> QuotientSegment:
         k, nodes, level = (int(params[key]) for key in ("k", "nodes", "level"))
     except KeyError as exc:
         raise ValueError(f"segment header lacks {exc.args[0]}=") from None
+    for key, value in zip(("k", "nodes", "level"), (k, nodes, level)):
+        if value < 0:
+            raise ValueError(f"segment header item {key}={params[key]} is negative")
     classes: list[IForest] = []
     covers: list[tuple[int, int]] = []
     in_covers = False
@@ -242,6 +245,8 @@ def read_segment(text: str) -> QuotientSegment:
                 raise ValueError(f"cover line is not two indices: {line!r}") from None
             if min(lo, hi) < 0 or max(lo, hi) >= len(classes):
                 raise ValueError(f"cover {line!r} names no class of {len(classes)}")
+            if lo == hi:
+                raise ValueError(f"cover {line!r} runs from a class to itself")
             covers.append((lo, hi))
         else:
             classes.append(notation.parse_forest(line, k))

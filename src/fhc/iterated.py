@@ -126,21 +126,10 @@ def singleton(t: ITree) -> IForest:
 # ---------------------------------------------------------------------------
 # Lifting between levels.
 
-def _lift_one(t: ITree) -> ITree:
-    if t.level == 0:
-        # a color lifts to the singleton tree it labels
-        return ITree(1, t)
-    return ITree(
-        t.level + 1, _lift_one(t.label), tuple(_lift_one(c) for c in t.children)
-    )
-
-
 def lift_tree(t: ITree, target: int) -> ITree:
     if target < t.level:
         raise ValueError("cannot lower level by lifting")
-    while t.level < target:
-        t = _lift_one(t)
-    return t
+    return t if t.level == target else _moved(t, target)  # the parser's common case
 
 
 def lift(f: IForest, target: int) -> IForest:
@@ -149,43 +138,43 @@ def lift(f: IForest, target: int) -> IForest:
         raise ValueError("cannot lower level by lifting")
     if target == f.level:
         return f
-    return IForest(target, tuple(lift_tree(t, target) for t in f.trees))
+    return IForest(target, tuple(_moved(t, target) for t in f.trees))
 
 
-def _unlift_tree(t: ITree) -> "ITree | None":
-    """Invert the one-step lifting where possible, else None."""
-    if t.level == 0:
-        return None
-    if t.level == 1:
-        # only singleton shapes arise from lifting a color
-        return t.label if not t.children else None
-    label = _unlift_tree(t.label)
-    if label is None:
-        return None
-    children = []
-    for c in t.children:
-        u = _unlift_tree(c)
-        if u is None:
-            return None
-        children.append(u)
-    return ITree(t.level - 1, label, tuple(children))
+def _moved(t: ITree, level: int) -> ITree:
+    # ``t`` lifted or lowered to ``level`` in one walk; lowering takes back
+    # only what ``_droppable`` allows
+    if t.level == level:
+        return t
+    if level == 0:
+        return _moved(t.label, 0)  # a chain of one-node trees over its color
+    label = t if t.level == 0 else t.label  # a color labels its one-node tree
+    return ITree(level, _moved(label, level - 1), tuple(_moved(c, level) for c in t.children))
+
+
+def _droppable(trees: tuple[ITree, ...], most: int) -> int:
+    # how many levels, up to ``most``, lifting can take back from every tree:
+    # a leaf whose label drops to a color drops to that color, any other tree
+    # as far as its label and each of its children do
+    for t in trees:
+        if not most:
+            break
+        label = _droppable((t.label,), min(most, t.level - 1))
+        if t.children or label < t.level - 1:
+            most = _droppable(t.children, label)
+    return most
 
 
 def unlift(f: IForest) -> IForest:
     """Drop as many levels as lifting can reconstruct; class-preserving.
 
     The result is the lowest-level member of the class with the same shape,
-    e.g. the lift of a color forest comes back down to the colors.
+    e.g. the lift of a color forest comes back down to the colors.  One walk
+    finds how far every tree drops, settling a tree whose label cannot drop
+    without its children, and one more rebuilds the trees that low.
     """
-    while f.level > 0:
-        if f.is_empty():
-            f = IForest(f.level - 1)
-            continue
-        lowered = [_unlift_tree(t) for t in f.trees]
-        if any(t is None for t in lowered):
-            return f
-        f = IForest(f.level - 1, tuple(lowered))  # type: ignore[arg-type]
-    return f
+    level = f.level - _droppable(f.trees, f.level)
+    return f if level == f.level else IForest(level, tuple(_moved(t, level) for t in f.trees))
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +262,15 @@ def dot_p(f: IForest, g: IForest, p: int = 0) -> IForest:
     """The graded sequential product ``f .^p g``.
 
     Grade 0 stacks ``g`` above every leaf of ``f`` (after lifting to a common
-    level, at least 1); grade ``p + 1`` is ``s_lift`` of the grade-``p``
-    product of the ``r_drop`` images.
+    level, at least 1); grade ``p`` is the grade-0 product of the ``p``-fold
+    ``r_drop`` images, ``s_lift``ed ``p`` times.
     """
-    if p > 0:
-        return s_lift(dot_p(r_drop(f), r_drop(g), p - 1))
+    f, g = _dropped(f, g, p)
     level = max(f.level, g.level, 1)
-    return forests.seq_product(lift(f, level), lift(g, level))
+    h = forests.seq_product(lift(f, level), lift(g, level))
+    for _ in range(p):
+        h = s_lift(h)
+    return h
 
 
 # ---------------------------------------------------------------------------

@@ -80,3 +80,17 @@ def minimal_forests_by_minimizing(k: int, max_size: int, max_level: int) -> list
         f for f in iterated._forests(k, max_size, max_level, is_minimal_by_minimizing)
         if not any(iterated.tree_leq0(a, b) for a, b in permutations(f.trees, 2))
     ]
+
+
+def _oracle_label_leq(a, b) -> bool:
+    # colors by equality; otherwise a color is its one-node tree, and two
+    # trees are compared by the map search, whose labels come back here
+    if isinstance(a, int) and isinstance(b, int):
+        return a == b
+    a, b = (iterated.color(x) if isinstance(x, int) else x for x in (a, b))
+    return forests.h_leq_oracle(iterated.singleton(a), iterated.singleton(b), ORACLE_LABELS)
+
+
+#: the label preorder of every level, decided by the map search alone: with
+#: ``forests.h_leq_oracle`` it decides ``colim_leq`` with no structural recursion
+ORACLE_LABELS = forests.LabelPreorder(_oracle_label_leq, "labels by map search")

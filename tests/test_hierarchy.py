@@ -348,6 +348,14 @@ class TestSegmentFile:
          "cover '0 7' names no class of 1"),
         ("fhc-segment v1 k=2 nodes=1 level=1\n{}\n{0}\ncovers:\n-1 0\n",
          "names no class of 2"),
+        ("fhc-segment v1 k=-1 nodes=1 level=1\n{}\ncovers:\n",
+         "segment header item k=-1 is negative"),
+        ("fhc-segment v1 k=2 nodes=-3 level=1\n{}\ncovers:\n",
+         "segment header item nodes=-3 is negative"),
+        ("fhc-segment v1 k=2 nodes=1 level=-1\n{}\ncovers:\n",
+         "segment header item level=-1 is negative"),
+        ("fhc-segment v1 k=2 nodes=1 level=1\n{}\n{0}\ncovers:\n0 0\n",
+         "cover '0 0' runs from a class to itself"),
     ])
     def test_malformed_file_raises_value_error(self, text, message):
         with pytest.raises(ValueError) as err:

@@ -34,12 +34,14 @@ from fhc.iterated import (
     lift,
     minimal_forests,
     r_drop,
+    representative,
     s_lift,
     singleton,
     unlift,
 )
-from fhc.notation import parse_forest
-from conftest import minimal_forests_by_minimizing, random_iforest
+from fhc.hierarchy import enumerate_segment
+from fhc.notation import parse_forest, serialize_forest
+from conftest import ORACLE_LABELS, minimal_forests_by_minimizing, random_iforest, random_itree
 
 C0, C1 = color(0), color(1)
 F0 = color_forest(0)
@@ -270,6 +272,68 @@ class TestUnliftedOrder:
             a, b = (random_iforest(rng, 3, 3, 5) for _ in range(2))
             for m in range(4):
                 assert colim_leq(a, b, m) == _lifted_leq(a, b, m), (a, b, m)
+
+
+class TestMapSearchAtEveryLevel:
+    """The map search with labels decided by map search, level by level,
+    against the structural recursion."""
+
+    def test_agrees_exhaustively_and_names_classes(self):
+        fs = enumerate_forests(2, 3, 2)
+        assert len(fs) ** 2 == 14_884
+        names = [representative(f) for f in fs]
+        leq = {(i, j): forests.h_leq_oracle(a, b, ORACLE_LABELS)
+               for (i, a), (j, b) in itertools.product(enumerate(fs), repeat=2)}
+        for (i, j), verdict in leq.items():
+            assert verdict == colim_leq(fs[i], fs[j]), (fs[i], fs[j])
+            assert (verdict and leq[j, i]) == (names[i] == names[j]), (fs[i], fs[j])
+
+    def test_agrees_on_random_level3_pairs(self):
+        rng = random.Random(3)
+        for _ in range(2000):
+            a, b = (IForest(3, tuple(random_itree(rng, 3, 3, 3) for _ in range(rng.randint(1, 2))))
+                    for _ in range(2))
+            assert forests.h_leq_oracle(a, b, ORACLE_LABELS, 10**5) == colim_leq(a, b), (a, b)
+
+
+class TestLevelWalk:
+    """Lifting and unlifting stated as properties, on every forest of
+    ``enumerate_forests(2, 4, 3)``."""
+
+    @pytest.fixture(scope="class")
+    def fs(self):
+        return enumerate_forests(2, 4, 3)
+
+    def test_lift_restores_what_unlift_drops(self, fs):
+        assert len(fs) == 1769
+        for h in fs:
+            assert lift(unlift(h), h.level) == h, h
+
+    def test_unlift_is_idempotent(self, fs):
+        for h in fs:
+            assert unlift(unlift(h)) == unlift(h), h
+
+    def test_unlift_undoes_lift(self, fs):
+        for h in fs:
+            for m in range(h.level, 5):
+                assert unlift(lift(h, m)) == unlift(h), (h, m)
+
+    def test_drops_exactly_the_lifts(self, fs):
+        lifts = {canonical(lift(g, g.level + 1)) for g in fs if 0 < g.size and g.level < 3}
+        for h in fs:
+            if h.level > 0:
+                assert (unlift(h).level < h.level) == (canonical(h) in lifts), h
+
+    def test_graded_product_is_s_lift_of_the_dropped_product(self):
+        fs = enumerate_forests(2, 2, 2)
+        for f, g in itertools.product(fs, fs):
+            for p in (1, 2, 3):
+                assert dot_p(f, g, p) == s_lift(dot_p(r_drop(f), r_drop(g), p - 1)), (f, g, p)
+
+    def test_deep_segment_has_two_classes(self):
+        seg = enumerate_segment(1, 1, 400)
+        assert [serialize_forest(c) for c in seg.classes] == ["{}", "{0}"]
+        assert seg.covers == ((0, 1),)
 
 
 class TestShiftMaps:
