@@ -99,13 +99,16 @@ def enumerate_segment(
 ) -> QuotientSegment:
     """The classes of the forests within the bounds, with their covers.
 
-    Each class comes from its minimal forest alone, named as
-    ``iterated.representative`` names it; classes appear in order of their
-    smallest member.  Refuse when the raw forests exceed ``bound``; without
-    colors the bottom class is all there is.
+    Each class comes from its one minimal forest at its own floor (the
+    others are lifts of lower classes), named as ``iterated.representative``
+    names it; classes appear in order of their smallest member.  Refuse when the
+    raw forests exceed ``bound``; without colors the bottom class is all
+    there is.
     """
-    if k < 0:
-        raise ValueError(f"alphabet size k must be non-negative, got {k}")
+    for name, value in (("alphabet size k", k), ("max_nodes", max_nodes),
+                        ("max_level", max_level)):
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
     if k == 0:
         return QuotientSegment(k, max_nodes, max_level, (IForest(0),), ())
     # with a color, every size and level holds a forest: huge bounds go uncounted
@@ -117,7 +120,7 @@ def enumerate_segment(
     if total > bound:
         raise SegmentBoundError(f"segment too large: {total} forests exceed the bound {bound}")
     minimal = iterated.minimal_forests(k, max_nodes, max_level)
-    reps = list(dict.fromkeys(iterated.canonical(iterated.unlift(f)) for f in minimal))
+    reps = [iterated.canonical(f) for f in minimal if f.floor == f.level]
     covers = _transitive_reduction(reps)
     return QuotientSegment(k, max_nodes, max_level, tuple(reps), covers)
 

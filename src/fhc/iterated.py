@@ -34,10 +34,12 @@ class ITree:
     at level ``m > 0`` the label is an ``ITree`` of level ``m - 1`` and the
     children are trees of the same level ``m``.  Equality and hashing are
     identity.  ``size`` counts the color occurrences through all nestings;
-    ``sort_key`` orders trees structurally, children as a sorted multiset.
+    ``sort_key`` orders trees structurally, children as a sorted multiset;
+    ``floor`` is the lowest level that lifting could have built the tree from
+    (a leaf whose label comes from a color comes from that color).
     """
 
-    __slots__ = ("level", "label", "children", "size", "sort_key", "__weakref__")
+    __slots__ = ("level", "label", "children", "size", "sort_key", "floor", "__weakref__")
 
     def __new__(cls, level: int, label: "int | ITree", children: tuple["ITree", ...] = ()):
         if level == 0:
@@ -53,12 +55,15 @@ class ITree:
         t = _INTERNED.get(key)
         if t is None:
             if level == 0:
-                size, sort_key = 1, (0, label)
+                size, sort_key, floor = 1, (0, label), 0
             else:
                 size = label.size + sum(c.size for c in children)
                 sort_key = (1, label.sort_key, tuple(sorted(c.sort_key for c in children)))
+                floor = 0  # a leaf over a lifted color comes from that color
+                if children or label.floor:
+                    floor = max((label.floor + 1, *(c.floor for c in children)))
             t = _INTERNED[key] = object.__new__(cls)
-            for name, value in zip(cls.__slots__, (*key, size, sort_key)):
+            for name, value in zip(cls.__slots__, (*key, size, sort_key, floor)):
                 object.__setattr__(t, name, value)
         return t
 
@@ -96,6 +101,10 @@ class IForest:
     @property
     def size(self) -> int:
         return sum(t.size for t in self.trees)
+
+    @property
+    def floor(self) -> int:
+        return max((t.floor for t in self.trees), default=0)
 
     def is_empty(self) -> bool:
         return not self.trees
@@ -142,8 +151,7 @@ def lift(f: IForest, target: int) -> IForest:
 
 
 def _moved(t: ITree, level: int) -> ITree:
-    # ``t`` lifted or lowered to ``level`` in one walk; lowering takes back
-    # only what ``_droppable`` allows
+    # ``t`` lifted, or lowered no further than its floor, to ``level`` in one walk
     if t.level == level:
         return t
     if level == 0:
@@ -152,28 +160,14 @@ def _moved(t: ITree, level: int) -> ITree:
     return ITree(level, _moved(label, level - 1), tuple(_moved(c, level) for c in t.children))
 
 
-def _droppable(trees: tuple[ITree, ...], most: int) -> int:
-    # how many levels, up to ``most``, lifting can take back from every tree:
-    # a leaf whose label drops to a color drops to that color, any other tree
-    # as far as its label and each of its children do
-    for t in trees:
-        if not most:
-            break
-        label = _droppable((t.label,), min(most, t.level - 1))
-        if t.children or label < t.level - 1:
-            most = _droppable(t.children, label)
-    return most
-
-
 def unlift(f: IForest) -> IForest:
     """Drop as many levels as lifting can reconstruct; class-preserving.
 
     The result is the lowest-level member of the class with the same shape,
-    e.g. the lift of a color forest comes back down to the colors.  One walk
-    finds how far every tree drops, settling a tree whose label cannot drop
-    without its children, and one more rebuilds the trees that low.
+    e.g. the lift of a color forest comes back down to the colors: the
+    forest rebuilt at the highest floor of its trees.
     """
-    level = f.level - _droppable(f.trees, f.level)
+    level = f.floor
     return f if level == f.level else IForest(level, tuple(_moved(t, level) for t in f.trees))
 
 

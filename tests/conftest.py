@@ -68,6 +68,33 @@ def h_leq_rows(fs: list, q: forests.LabelPreorder) -> list[int]:
     return [reduce(and_, (above[t] for t in f.trees), (1 << len(fs)) - 1) for f in fs]
 
 
+def _droppable(trees: tuple[iterated.ITree, ...], most: int) -> int:
+    # how many levels, up to ``most``, lifting can take back from every tree:
+    # a leaf whose label drops to a color drops to that color, any other tree
+    # as far as its label and each of its children do
+    for t in trees:
+        if not most:
+            break
+        label = _droppable((t.label,), min(most, t.level - 1))
+        if t.children or label < t.level - 1:
+            most = _droppable(t.children, label)
+    return most
+
+
+def floor_by_dropping(t: iterated.ITree) -> int:
+    """Reference ``ITree.floor``: the level after a walk finds how far ``t`` drops."""
+    return t.level - _droppable((t,), t.level)
+
+
+def unlift_by_dropping(f: iterated.IForest) -> iterated.IForest:
+    """Reference ``iterated.unlift``: one walk finds how far every tree drops,
+    and the trees are rebuilt that low."""
+    level = f.level - _droppable(f.trees, f.level)
+    if level == f.level:
+        return f
+    return iterated.IForest(level, tuple(iterated._moved(t, level) for t in f.trees))
+
+
 def is_minimal_by_minimizing(t: iterated.ITree) -> bool:
     """Reference minimality: a whole minimization leaves ``t`` as it is."""
     return forests._min_tree(t, iterated.LABEL_ORDER) is t

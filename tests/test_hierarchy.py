@@ -25,7 +25,7 @@ from fhc.hierarchy import (
     write_segment,
 )
 from fhc.notation import parse_forest, serialize_forest
-from conftest import h_leq_rows
+from conftest import ORACLE_LABELS, h_leq_rows
 
 CHAIN = parse_forest("[0:[1:]]")
 TWO = parse_forest("{0,1}")
@@ -118,7 +118,7 @@ class TestSegments:
     @pytest.mark.parametrize("segment", [
         (2, 5, 2), (4, 4, 1),
         (2, 3, 3), (3, 4, 2), (3, 5, 1), (2, 4, 3), (4, 3, 1),
-        (0, 3, 2), (1, 4, 3), (3, 0, 2), (3, 4, 0),
+        (0, 3, 2), (1, 4, 3), (3, 0, 2), (3, 4, 0), (2, 2, 12),
     ], ids="k{0[0]}-n{0[1]}-l{0[2]}".format)
     def test_classes_match_representatives_of_every_forest(self, segment):
         # the classes come from the minimal forests alone; naming every raw
@@ -154,6 +154,20 @@ class TestSegments:
         with pytest.raises(ValueError) as exc:
             enumerate_segment(-1, 2, 1)
         assert str(exc.value) == "alphabet size k must be non-negative, got -1"
+
+    @pytest.mark.parametrize("args, message", [
+        ((2, -2, 1), "max_nodes must be non-negative, got -2"),
+        ((2, 3, -1), "max_level must be non-negative, got -1"),
+    ])
+    def test_negative_bounds_refused(self, args, message):
+        with pytest.raises(ValueError) as exc:
+            enumerate_segment(*args)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("level", [0, 1, 5, 40])
+    def test_two_node_segments_gain_two_classes_a_level(self, level):
+        # the lifts of lower classes name no new class; each level adds two
+        assert len(enumerate_segment(2, 2, level).classes) == 2 * level + 4
 
     def test_empty_alphabet_is_the_bottom_alone(self):
         seg = enumerate_segment(0, 3, 2)
@@ -207,6 +221,15 @@ class TestOrderTable:
         classes = list(enumerate_segment(*segment).classes)
         rows = hy._class_rows(classes)
         assert rows == h_leq_rows(classes, iterated.LABEL_ORDER)
+
+    @pytest.mark.parametrize("segment", [(2, 5, 2), (3, 3, 2)],
+                             ids="k{0[0]}-n{0[1]}-l{0[2]}".format)
+    def test_rows_match_map_search(self, segment):
+        # the map search decides labels by map search too, at every level
+        classes = list(enumerate_segment(*segment).classes)
+        rows = hy._class_rows(classes)
+        for (i, a), (j, b) in itertools.product(enumerate(classes), repeat=2):
+            assert (rows[i] >> j & 1) == forests.h_leq_oracle(a, b, ORACLE_LABELS), (a, b)
 
     def test_covers_make_no_tree_leq_call(self, monkeypatch):
         classes = list(enumerate_segment(3, 4, 2).classes)

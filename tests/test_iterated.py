@@ -41,7 +41,14 @@ from fhc.iterated import (
 )
 from fhc.hierarchy import enumerate_segment
 from fhc.notation import parse_forest, serialize_forest
-from conftest import ORACLE_LABELS, minimal_forests_by_minimizing, random_iforest, random_itree
+from conftest import (
+    ORACLE_LABELS,
+    floor_by_dropping,
+    minimal_forests_by_minimizing,
+    random_iforest,
+    random_itree,
+    unlift_by_dropping,
+)
 
 C0, C1 = color(0), color(1)
 F0 = color_forest(0)
@@ -334,6 +341,45 @@ class TestLevelWalk:
         seg = enumerate_segment(1, 1, 400)
         assert [serialize_forest(c) for c in seg.classes] == ["{}", "{0}"]
         assert seg.covers == ((0, 1),)
+
+
+def _nested(t: ITree):
+    """``t`` and every tree inside it: its label's nested trees and its children's."""
+    yield t
+    if t.level:
+        yield from _nested(t.label)
+        for c in t.children:
+            yield from _nested(c)
+
+
+class TestFloor:
+    """The floor stored on each node against the reference walk that finds
+    how far a tree drops (``conftest._droppable``)."""
+
+    def check(self, f: IForest) -> None:
+        for t in {n for top in f.trees for n in _nested(top)}:
+            assert t.floor == floor_by_dropping(t), t
+        assert unlift(f) == unlift_by_dropping(f), f
+
+    def test_every_subtree_of_an_exhaustive_segment(self):
+        fs = enumerate_forests(2, 4, 3)
+        assert {t.floor for f in fs for t in f.trees} == {0, 1, 2, 3}
+        for f in fs:
+            self.check(f)
+
+    def test_seeded_random_forests_and_their_lifts(self):
+        rng = random.Random(13)
+        for _ in range(2000):
+            f = random_iforest(rng, 2, 4, 4)
+            for m in range(f.level, 5):
+                self.check(lift(f, m))
+
+    def test_floor_of_colors_lifts_and_leaves(self):
+        chain = CHAIN.trees[0]                   # [0:[1]]: a child lifts a color
+        assert (C0.floor, itree(C0).floor, chain.floor) == (0, 0, 1)
+        assert lift(CHAIN, 3).floor == 1 and IForest(3).floor == 0
+        assert itree(chain).floor == 2           # a leaf over a level-1 tree
+        assert ITree(2, itree(C0), (itree(chain),)).floor == 2  # from the child
 
 
 class TestShiftMaps:
