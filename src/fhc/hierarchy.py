@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_, or_
+from operator import and_
 
 from . import iterated, notation, terms
-from .iterated import IForest
+from .iterated import IForest, SegmentBoundError
 from .terms import GTerm
 
 EQUAL = "equal"
@@ -30,11 +30,7 @@ SUBSET = "subset"
 SUPERSET = "superset"
 INCOMPARABLE = "incomparable"
 
-DEFAULT_SEGMENT_BOUND = 200_000
-
-
-class SegmentBoundError(RuntimeError):
-    """Raised when the requested segment enumeration is too large."""
+DEFAULT_SEGMENT_BOUND = 50_000
 
 
 @dataclass(frozen=True)
@@ -102,8 +98,8 @@ def enumerate_segment(
     Each class comes from its one minimal forest at its own floor (the
     others are lifts of lower classes), named as ``iterated.representative``
     names it; classes appear in order of their smallest member.  Refuse when the
-    raw forests exceed ``bound``; without colors the bottom class is all
-    there is.
+    colors, trees and multisets the generator builds exceed ``bound``; without
+    colors the bottom class is all there is.
     """
     for name, value in (("alphabet size k", k), ("max_nodes", max_nodes),
                         ("max_level", max_level)):
@@ -116,10 +112,7 @@ def enumerate_segment(
     if least > bound:
         raise SegmentBoundError(
             f"segment too large: at least {least} forests exceed the bound {bound}")
-    total = iterated.count_forests(k, max_nodes, max_level)
-    if total > bound:
-        raise SegmentBoundError(f"segment too large: {total} forests exceed the bound {bound}")
-    minimal = iterated.minimal_forests(k, max_nodes, max_level)
+    minimal = iterated.minimal_forests(k, max_nodes, max_level, bound)
     reps = [iterated.canonical(f) for f in minimal if f.floor == f.level]
     covers = _transitive_reduction(reps)
     return QuotientSegment(k, max_nodes, max_level, tuple(reps), covers)
@@ -163,8 +156,13 @@ def _class_rows(reps: list[IForest]) -> list[int]:
                 labelled[pool[t.label] if t.level else p] |= 1 << p
 
     def labelled_in(s: int) -> int:  # the pool trees labelled by a member of s
-        bits = enumerate(reversed(bin(s & (1 << n) - 1)))
-        return reduce(or_, (labelled[q] for q, bit in bits if bit == "1"), 0)
+        s &= (1 << n) - 1
+        out = 0
+        while s:  # over the set bits only
+            low = s & -s
+            out |= labelled[low.bit_length() - 1]
+            s ^= low
+        return out
 
     visit(t for f in reps for t in f.trees)
     n = len(pool)

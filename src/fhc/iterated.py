@@ -18,13 +18,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import chain, permutations
-from math import comb
 from operator import attrgetter
 from typing import Callable
 from weakref import WeakValueDictionary
 
 from . import forests
 from .forests import LabelPreorder
+
+
+class SegmentBoundError(RuntimeError):
+    """Raised when a segment would build more than its bound."""
 
 
 class ITree:
@@ -325,7 +328,9 @@ def enumerate_forests(k: int, max_size: int, max_level: int) -> list[IForest]:
     return _forests(k, max_size, max_level, lambda t: True)
 
 
-def minimal_forests(k: int, max_size: int, max_level: int) -> list[IForest]:
+def minimal_forests(
+    k: int, max_size: int, max_level: int, bound: int | None = None
+) -> list[IForest]:
     """The forests of ``enumerate_forests`` that ``iminimize`` fixes, in its order.
 
     Relies on closure: the label and each child of a minimal tree are minimal
@@ -334,9 +339,10 @@ def minimal_forests(k: int, max_size: int, max_level: int) -> list[IForest]:
     minimal trees none of which embeds into another.  Over minimal parts the
     test is local: no child is labelled below the root or embeds into another
     child, and a root with one child is not labelled below that child's label.
+    Refuse once the colors, candidate trees and multisets built pass ``bound``.
     """
     return [
-        f for f in _forests(k, max_size, max_level, _locally_minimal)
+        f for f in _forests(k, max_size, max_level, _locally_minimal, bound)
         if not any(tree_leq0(a, b) for a, b in permutations(f.trees, 2))
     ]
 
@@ -348,16 +354,29 @@ def _locally_minimal(t: ITree) -> bool:
                 or len(kids) == 1 and tree_leq0(t.label, kids[0].label))
 
 
-def _forests(k: int, max_size: int, max_level: int, keep: Callable) -> list[IForest]:
+def _forests(
+    k: int, max_size: int, max_level: int, keep: Callable, bound: int | None = None
+) -> list[IForest]:
     # forests in a fixed order, of trees that pass ``keep`` built from kept parts
+    built = 0
+
+    def counted(item, n: int = 1):
+        # every color, candidate tree and multiset is counted as it is built
+        nonlocal built
+        built += n
+        if bound is not None and built > bound:
+            raise SegmentBoundError(
+                f"segment too large: more than {bound} trees and forests"
+                f" exceed the bound {bound}")
+        return item
 
     @cache
     def trees(size: int, level: int) -> list[ITree]:
         # the canonical trees of exactly this size, in sort_key order
-        if level == 0:
-            return [color(i) for i in range(k)] if size == 1 else []  # always kept
+        if level == 0:  # colors are always kept
+            return [color(i) for i in counted(range(k), k)] if size == 1 else []
         return sorted(filter(keep, (
-            ITree(level, label, ch)
+            counted(ITree(level, label, ch))
             for label_size in range(1, size + 1)
             for label in trees(label_size, level - 1)
             for ch in tuples(size - label_size, level)
@@ -371,7 +390,7 @@ def _forests(k: int, max_size: int, max_level: int, keep: Callable) -> list[IFor
 
         def rec(start: int, remaining: int, acc: list[ITree]) -> None:
             if remaining == 0:
-                out.append(tuple(acc))
+                out.append(counted(tuple(acc)))
                 return
             for i in range(start, len(pool)):
                 t = pool[i]
@@ -393,33 +412,5 @@ def _forests(k: int, max_size: int, max_level: int, keep: Callable) -> list[IFor
 
 
 def count_forests(k: int, max_size: int, max_level: int) -> int:
-    """What ``enumerate_forests`` would yield, counted without materializing."""
-
-    @cache
-    def trees(size: int, level: int) -> int:
-        if level == 0:
-            return k if size == 1 else 0
-        return sum(
-            trees(label_size, level - 1) * tuples(size - label_size, level)
-            for label_size in range(1, size + 1)
-        )
-
-    @cache
-    def tuples(total: int, level: int, smallest: int = 1) -> int:
-        # multisets of trees of size >= smallest with sizes summing to total
-        if total == 0:
-            return 1
-        if smallest > total:
-            return 0
-        kinds = trees(smallest, level)
-        return sum(
-            (comb(kinds + copies - 1, copies) if copies else 1)
-            * tuples(total - copies * smallest, level, smallest + 1)
-            for copies in range(total // smallest + 1)
-        )
-
-    return 1 + sum(
-        tuples(size, level)
-        for size in range(1, max_size + 1)
-        for level in range(max_level + 1)
-    )
+    """How many forests ``enumerate_forests`` yields."""
+    return len(enumerate_forests(k, max_size, max_level))

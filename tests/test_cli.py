@@ -243,13 +243,26 @@ class TestExitCodes:
         assert "segment too large" in proc.stderr
 
 
+#: run ``fhc.cli.main`` in a child that prints its peak resident set (kB) to
+#: stderr as the last line, once it is done
+PEAK_SCRIPT = (
+    "import sys\n"
+    "from fhc.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "with open('/proc/self/status') as status:\n"
+    "    hwm = [line.split()[1] for line in status if line.startswith('VmHWM:')]\n"
+    "print(hwm[0], file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
 class TestSegmentBounds:
     @pytest.mark.parametrize("argv, code, err", [
         (("enumerate", "--nodes", "3", "--level", str(10**12)), 2,
-         "error: segment too large: at least 3000000000004 forests exceed the bound 200000\n"),
+         "error: segment too large: at least 3000000000004 forests exceed the bound 50000\n"),
         (("diagram", "--k", "0", "--nodes", str(10**12), "--level", "1"), 0, ""),
         (("enumerate", "--k", str(10**12), "--nodes", str(10**12), "--level", "1"), 2,
-         "error: segment too large: at least 2000000000001 forests exceed the bound 200000\n"),
+         "error: segment too large: at least 2000000000001 forests exceed the bound 50000\n"),
     ], ids=["huge-level", "no-colors", "huge-k-and-nodes"])
     def test_huge_bounds_end_at_once(self, capsys, argv, code, err):
         # every size and level holds a forest, so these are refused uncounted;
@@ -266,9 +279,14 @@ class TestSegmentBounds:
         ((3, 5, 2), "8af271333fd803aff6fa70abec3a438b357debd6205e4e975c81ce3fbd06c8d3"),
         ((3, 6, 1), "a7a489377d44eaefb709d721174cb915303659c57e71e76fbb934883622bc340"),
         ((4, 5, 1), "908d8c7fe791de09d6ab281d304177c083995b6cc4a978c4444f9a0361450299"),
-    ], ids=["k3-n5-l2", "k3-n6-l1", "k4-n5-l1"])
+        ((2, 8, 2), "9ae06ffebc83b390c3c5fedcd8b7ccdbd123e384d92358410f1e111048487f6a"),
+        ((3, 6, 2), "ee127ff2c90003476928bafd7e2ec849f662f95bdbfbc65a2aed5c668540feb2"),
+    ], ids=["k3-n5-l2", "k3-n6-l1", "k4-n5-l1", "k2-n8-l2", "k3-n6-l2"])
     def test_diagram_digest(self, capsys, segment, digest):
-        # recorded from the pairwise order of _tree_leq before the order table
+        # the first three recorded from the pairwise order of _tree_leq before
+        # the order table; the last two, once refused for their raw forests
+        # (which no segment builds), through hasse_dot with that guard lifted
+        # before the guard counted what a segment builds
         k, nodes, level = map(str, segment)
         assert main(["diagram", "--k", k, "--nodes", nodes, "--level", level]) == 0
         out = capsys.readouterr().out
@@ -276,24 +294,36 @@ class TestSegmentBounds:
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
     def test_dense_segment_stays_small(self):
-        # 9384 classes; the child reads its own peak resident set when done
-        script = (
-            "import sys\n"
-            "from fhc.cli import main\n"
-            "code = main(sys.argv[1:])\n"
-            "with open('/proc/self/status') as status:\n"
-            "    hwm = [line.split()[1] for line in status if line.startswith('VmHWM:')]\n"
-            "print(hwm[0], file=sys.stderr)\n"
-            "sys.exit(code)\n"
-        )
+        # 9384 classes
         proc = subprocess.run(
-            [sys.executable, "-c", script, "enumerate", "--k", "4", "--nodes", "6",
+            [sys.executable, "-c", PEAK_SCRIPT, "enumerate", "--k", "4", "--nodes", "6",
              "--level", "1"],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines().index("covers:") == 1 + 9384
         assert int(proc.stderr) < 100 * 1024  # kB
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+    @pytest.mark.parametrize("k, nodes, level", [
+        (300, 2, 1), (10**12, 1, 0), (10**4, 2, 0),
+    ], ids=["k300-n2-l1", "huge-k", "k10000-n2-l0"])
+    def test_costly_segment_refused_at_once(self, k, nodes, level):
+        # the generator counts what it builds and stops at the first item past
+        # the bound: the k colors before building them, a multiset as it is made
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_SCRIPT, "enumerate", "--k", str(k),
+             "--nodes", str(nodes), "--level", str(level)],
+            capture_output=True, text=True,
+        )
+        assert time.perf_counter() - start < 2
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        err, hwm = proc.stderr.splitlines()
+        assert err == (
+            "error: segment too large: more than 50000 trees and forests exceed the bound 50000")
+        assert int(hwm) < 100 * 1024  # kB
 
 
 class TestDeepInput:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import time
 from functools import reduce
 from operator import or_
 
@@ -177,6 +178,23 @@ class TestSegments:
     def test_bound_guard(self):
         with pytest.raises(SegmentBoundError, match="too large"):
             enumerate_segment(3, 12, 2, bound=1000)
+
+    def test_bound_counts_what_is_built(self):
+        # (2,5,2) builds 541 colors, candidate trees and multisets in all
+        assert len(enumerate_segment(2, 5, 2, bound=541).classes) == 26
+        with pytest.raises(SegmentBoundError) as exc:
+            enumerate_segment(2, 5, 2, bound=540)
+        assert str(exc.value) == (
+            "segment too large: more than 540 trees and forests exceed the bound 540")
+
+    def test_wide_alphabet_answers_quickly(self):
+        # every color labels itself in the order table: the table walks the
+        # set bits of an up-set, not every bit of the pool
+        start = time.perf_counter()
+        seg = enumerate_segment(10_000, 1, 0)
+        assert time.perf_counter() - start < 5
+        assert len(seg.classes) == 10_001
+        assert seg.covers == tuple((0, i) for i in range(1, 10_001))
 
     def test_deterministic(self):
         a = enumerate_segment(2, 3, 1)
