@@ -11,9 +11,7 @@ than BUILD_T_BOUND nodes, is refused too).  Every error is one line on stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import dataclass
 
 from . import hierarchy, iterated, notation, ordinals, terms
 from .forests import OracleBoundError
@@ -28,13 +26,6 @@ BUILD_T_BOUND = 1_000_000
 
 class OutputBoundError(RuntimeError):
     """Raised when a result has too many nodes to print."""
-
-
-@dataclass
-class CommandResult:
-    verdict: str
-    lhs: str | None = None
-    rhs: str | None = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -125,7 +116,7 @@ def _check_term_colors(u, k: int | None) -> None:
             raise ValueError(f"color {x.color} outside alphabet of size {k}")
 
 
-def _cmd_cmp(args) -> CommandResult:
+def _cmd_cmp(args) -> tuple:
     k = _alphabet(args)
     a = parse_forest(args.forest, k)
     b = parse_forest(args.forest1, k)
@@ -137,78 +128,78 @@ def _cmd_cmp(args) -> CommandResult:
         bwd = iterated.colim_leq(b, a, args.n)
     verdict = {(True, True): "=", (True, False): "<",
                (False, True): ">", (False, False): "||"}[(fwd, bwd)]
-    return CommandResult(verdict, serialize_forest(a), serialize_forest(b))
+    return verdict, serialize_forest(a), serialize_forest(b)
 
 
-def _cmd_min(args) -> CommandResult:
+def _cmd_min(args) -> tuple:
     f = parse_forest(args.forest, _alphabet(args))
     m = iterated.representative(f)
-    return CommandResult(serialize_forest(m), serialize_forest(f))
+    return serialize_forest(m), serialize_forest(f), None
 
 
-def _cmd_decompose(args) -> CommandResult:
+def _cmd_decompose(args) -> tuple:
     f = parse_forest(args.forest, _alphabet(args))
     parts = iterated.iminimize(f).trees
     text = "\n".join(serialize_tree(t) for t in parts)
-    return CommandResult(text, serialize_forest(f))
+    return text, serialize_forest(f), None
 
 
-def _cmd_encode(args) -> CommandResult:
+def _cmd_encode(args) -> tuple:
     f = parse_forest(args.forest, _alphabet(args))
     u = terms.encode(f, args.n)
-    return CommandResult(serialize_term(u), serialize_forest(f))
+    return serialize_term(u), serialize_forest(f), None
 
 
-def _cmd_eval(args) -> CommandResult:
+def _cmd_eval(args) -> tuple:
     u = _parse_sterm(args.term)
     _check_term_colors(u, _alphabet(args))
     f = terms.interpret(u)
-    return CommandResult(serialize_forest(f), serialize_term(u))
+    return serialize_forest(f), serialize_term(u), None
 
 
-def _cmd_g2s(args) -> CommandResult:
+def _cmd_g2s(args) -> tuple:
     u = parse_term(args.term)
     if notation._uses_dot(u):
         raise ValueError("g2s expects a G-signature term")
-    return CommandResult(serialize_term(terms.g_to_s(u)), serialize_term(u))
+    return serialize_term(terms.g_to_s(u)), serialize_term(u), None
 
 
-def _cmd_s2g(args) -> CommandResult:
+def _cmd_s2g(args) -> tuple:
     u = parse_term(args.term)
     if notation._uses_g(u):
         raise ValueError("s2g expects a star-signature term")
-    return CommandResult(serialize_term(terms.s_to_g(u)), serialize_term(u))
+    return serialize_term(terms.s_to_g(u)), serialize_term(u), None
 
 
-def _cmd_jump_height(args) -> CommandResult:
+def _cmd_jump_height(args) -> tuple:
     u = parse_term(args.term)
     if notation._uses_dot(u):
         u = terms.s_to_g(u)
-    return CommandResult(str(terms.jump_height(u)), serialize_term(u))
+    return str(terms.jump_height(u)), serialize_term(u), None
 
 
-def _cmd_normalize(args) -> CommandResult:
+def _cmd_normalize(args) -> tuple:
     u = _parse_sterm(args.term)
     out = (terms.restrict_level(u, args.n) if args.m is None
            else terms.window_normalize(u, args.n, args.m))
-    return CommandResult(serialize_term(out), serialize_term(u))
+    return serialize_term(out), serialize_term(u), None
 
 
-def _cmd_level_subset(args) -> CommandResult:
+def _cmd_level_subset(args) -> tuple:
     k = _alphabet(args)
     t = LevelDescriptor(parse_forest(args.forest, k))
     v = LevelDescriptor(parse_forest(args.forest1, k))
     verdict = hierarchy.level_relation(t, v)
-    return CommandResult(verdict, serialize_forest(t.forest), serialize_forest(v.forest))
+    return verdict, serialize_forest(t.forest), serialize_forest(v.forest)
 
 
-def _cmd_witness(args) -> CommandResult:
+def _cmd_witness(args) -> tuple:
     t = LevelDescriptor(parse_forest(args.forest, _alphabet(args)))
     w = hierarchy.complete_witness(t, args.n)
-    return CommandResult(serialize_term(w), serialize_forest(t.forest))
+    return serialize_term(w), serialize_forest(t.forest), None
 
 
-def _cmd_build_t(args) -> CommandResult:
+def _cmd_build_t(args) -> tuple:
     alpha = ordinals.parse_ordinal(args.ordinal)
     if not alpha.is_zero() and args.k >= BUILD_T_BOUND:
         # every nonzero level index holds a color stacked over all k colors
@@ -218,27 +209,29 @@ def _cmd_build_t(args) -> CommandResult:
     if f.size > BUILD_T_BOUND:
         raise OutputBoundError(
             f"build-T too large: {f.size} nodes exceed the bound {BUILD_T_BOUND}")
-    return CommandResult(serialize_forest(f), ordinals.format_ordinal(alpha),
-                         str(args.color))
+    return serialize_forest(f), ordinals.format_ordinal(alpha), str(args.color)
 
 
-def _cmd_segment(args) -> CommandResult:
+def _cmd_segment(args) -> tuple:
     seg = hierarchy.enumerate_segment(args.k, args.nodes, args.level)
     write = (hierarchy.hasse_dot if args.command == "diagram"
              else hierarchy.write_segment)
-    return CommandResult(write(seg).rstrip("\n"))
+    return write(seg).rstrip("\n"), None, None
 
 
-def _render(result: CommandResult, args) -> str:
+def _render(result: tuple, args) -> str:
+    """The text of a handler's ``(verdict, lhs, rhs)``; lhs and rhs may be None."""
+    verdict, lhs, rhs = result
     fmt = args.format or ("dot" if args.command == "diagram" else "text")
     if fmt == "dot" and args.command != "diagram":
         raise ValueError("dot output is only available for diagram")
     if fmt == "json":
+        import json  # only JSON output pays for the import
+
         params = {p: vars(args)[p] for p in args.params if vars(args)[p] is not None}
-        payload = {"verdict": result.verdict, "lhs": result.lhs,
-                   "rhs": result.rhs, "params": params}
+        payload = {"verdict": verdict, "lhs": lhs, "rhs": rhs, "params": params}
         return json.dumps(payload, sort_keys=True)
-    return result.verdict
+    return verdict
 
 
 def main(argv: list[str] | None = None) -> int:

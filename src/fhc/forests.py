@@ -9,13 +9,14 @@ forests within their equivalence class, and provides the join and sequential
 product that make the quotient a semilattice.
 
 All but ``join`` run on any trees with ``label``/``children`` (and
-``with_children``) in any forests with ``trees``: ``LTree`` and ``ITree``.
+``with_children``) in any forests with ``trees`` (and ``with_trees``):
+``LTree`` and ``ITree``.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Any, Callable, Iterator
 
 DEFAULT_ORACLE_BOUND = 10_000_000
@@ -26,16 +27,60 @@ class OracleBoundError(RuntimeError):
     """Raised when the brute-force search space exceeds the configured bound."""
 
 
-@dataclass(frozen=True)
-class LabelPreorder:
+class Record:
+    """An immutable value whose fields are the names in ``__match_args__``.
+
+    Records are equal when they are of one type with equal fields, hash by
+    their fields, print as ``Name(field=value, ...)``, refuse to set or delete
+    a field, and pickle and copy through their constructor.  A subclass
+    declares its fields, then any values it caches, as slots, and its
+    ``__init__`` sets them in that order with ``_set``.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        # the fields as one value (a tuple for two or more) for == and hash
+        cls._key = attrgetter(*cls.__match_args__)
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+class LabelPreorder(Record):
     """A label domain given by its comparison predicate.
 
     ``leq`` must be reflexive and transitive on every label actually used;
     this is assumed, not checked.
     """
 
-    leq: Callable[[Any, Any], bool]
-    name: str = "preorder"
+    __slots__ = __match_args__ = ("leq", "name")
+
+    def __init__(self, leq: Callable[[Any, Any], bool], name: str = "preorder") -> None:
+        self._set(leq, name)
 
     def __repr__(self) -> str:
         return f"LabelPreorder({self.name})"
@@ -45,22 +90,21 @@ class LabelPreorder:
 ANTICHAIN = LabelPreorder(lambda a, b: a == b, "antichain")
 
 
-@dataclass(frozen=True)
-class LTree:
+class LTree(Record):
     """A finite rooted tree with a label at every node.
 
     Child order is stored but carries no meaning for the embedding order;
     canonicalization may reorder children freely.
     """
 
-    label: Any
-    children: tuple["LTree", ...] = ()
+    __slots__ = ("label", "children", "_hash")
+    __match_args__ = ("label", "children")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.label, self.children)))
+    def __init__(self, label: Any, children: tuple["LTree", ...] = ()) -> None:
+        self._set(label, children, hash((label, children)))
 
     def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+        return self._hash
 
     @property
     def size(self) -> int:
@@ -70,17 +114,17 @@ class LTree:
         return LTree(self.label, children)
 
 
-@dataclass(frozen=True)
-class LForest:
+class LForest(Record):
     """A finite sequence of trees; the empty forest is the bottom element."""
 
-    trees: tuple[LTree, ...] = ()
+    __slots__ = ("trees", "_hash")
+    __match_args__ = ("trees",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(self.trees))
+    def __init__(self, trees: tuple[LTree, ...] = ()) -> None:
+        self._set(trees, hash(trees))
 
     def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+        return self._hash
 
     @property
     def size(self) -> int:
@@ -88,6 +132,9 @@ class LForest:
 
     def is_empty(self) -> bool:
         return not self.trees
+
+    def with_trees(self, trees: tuple[LTree, ...]) -> "LForest":
+        return LForest(trees)
 
 
 def tree(label: Any, *children: LTree) -> LTree:
@@ -233,7 +280,7 @@ def minimize(f, q: LabelPreorder):
     whole path from the root stays below the root label are spliced out, and
     a root covering its only child is removed.
     """
-    return replace(f, trees=_min_trees(f.trees, q))
+    return f.with_trees(_min_trees(f.trees, q))
 
 
 def _min_trees(trees: tuple, q: LabelPreorder) -> tuple:
@@ -310,4 +357,4 @@ def seq_product(f, g):
     def graft(t):
         return t.with_children(tuple(graft(c) for c in t.children) or g.trees)
 
-    return replace(f, trees=tuple(graft(t) for t in f.trees))
+    return f.with_trees(tuple(graft(t) for t in f.trees))

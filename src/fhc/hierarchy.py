@@ -17,11 +17,11 @@ cache file.  Both outputs are deterministic, byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_
 
 from . import iterated, notation, terms
+from .forests import Record
 from .iterated import IForest, SegmentBoundError
 from .terms import GTerm
 
@@ -33,16 +33,16 @@ INCOMPARABLE = "incomparable"
 DEFAULT_SEGMENT_BOUND = 50_000
 
 
-@dataclass(frozen=True)
-class LevelDescriptor:
+class LevelDescriptor(Record):
     """Index of one hierarchy level; join-irreducible descriptors are the
     non-self-dual levels (single trees)."""
 
-    forest: IForest
+    __slots__ = __match_args__ = ("forest",)
 
-    def __post_init__(self) -> None:
-        if self.forest.is_empty():
+    def __init__(self, forest: IForest) -> None:
+        if forest.is_empty():
             raise ValueError("a level descriptor needs a nonempty forest")
+        self._set(forest)
 
 
 def level_relation(t: LevelDescriptor, v: LevelDescriptor) -> str:
@@ -74,8 +74,7 @@ def complete_witness(t: LevelDescriptor, shift: int = 0) -> GTerm:
 # ---------------------------------------------------------------------------
 # Quotient segments.
 
-@dataclass(frozen=True)
-class QuotientSegment:
+class QuotientSegment(Record):
     """An initial segment of the quotient poset.
 
     ``classes`` holds one minimal canonical representative per equivalence
@@ -83,11 +82,11 @@ class QuotientSegment:
     (lower index, upper index) pairs.
     """
 
-    k: int
-    max_nodes: int
-    max_level: int
-    classes: tuple[IForest, ...]
-    covers: tuple[tuple[int, int], ...]
+    __slots__ = __match_args__ = ("k", "max_nodes", "max_level", "classes", "covers")
+
+    def __init__(self, k: int, max_nodes: int, max_level: int,
+                 classes: tuple[IForest, ...], covers: tuple[tuple[int, int], ...]) -> None:
+        self._set(k, max_nodes, max_level, classes, covers)
 
 
 def enumerate_segment(

@@ -15,7 +15,6 @@ node labels a level down), the derived preorders ``<=^n`` that compare
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import chain, permutations
 from operator import attrgetter
@@ -23,7 +22,7 @@ from typing import Callable
 from weakref import WeakValueDictionary
 
 from . import forests
-from .forests import LabelPreorder
+from .forests import LabelPreorder, Record
 
 
 class SegmentBoundError(RuntimeError):
@@ -89,17 +88,16 @@ _INTERNED: "WeakValueDictionary[tuple, ITree]" = WeakValueDictionary()
 _SORT_KEY = attrgetter("sort_key")
 
 
-@dataclass(frozen=True)
-class IForest:
+class IForest(Record):
     """A finite sequence of same-level trees; may be empty at any level."""
 
-    level: int
-    trees: tuple[ITree, ...] = ()
+    __slots__ = __match_args__ = ("level", "trees")
 
-    def __post_init__(self) -> None:
-        for t in self.trees:
-            if t.level != self.level:
+    def __init__(self, level: int, trees: tuple[ITree, ...] = ()) -> None:
+        for t in trees:
+            if t.level != level:
                 raise ValueError("forest level differs from tree level")
+        self._set(level, trees)
 
     @property
     def size(self) -> int:
@@ -111,6 +109,9 @@ class IForest:
 
     def is_empty(self) -> bool:
         return not self.trees
+
+    def with_trees(self, trees: tuple[ITree, ...]) -> "IForest":
+        return IForest(self.level, trees)
 
 
 def color(i: int) -> ITree:
@@ -389,6 +390,8 @@ def _forests(
         out: list[tuple[ITree, ...]] = []
 
         def rec(start: int, remaining: int, acc: list[ITree]) -> None:
+            # one frame per distinct tree: each pool tree from ``start`` on
+            # goes in as often as fits, down to once, before the later ones
             if remaining == 0:
                 out.append(counted(tuple(acc)))
                 return
@@ -396,9 +399,11 @@ def _forests(
                 t = pool[i]
                 if t.size > remaining:
                     break  # the pool ascends by size
-                acc.append(t)
-                rec(i, remaining - t.size, acc)
-                acc.pop()
+                most = remaining // t.size
+                acc += [t] * most
+                for m in range(most, 0, -1):
+                    rec(i + 1, remaining - m * t.size, acc)
+                    acc.pop()
 
         rec(0, total, [])
         return out

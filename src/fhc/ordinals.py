@@ -15,32 +15,39 @@ mixed limit multiplies the leading-power level onto the join of the rest.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from functools import total_ordering
 
 from . import iterated
+from .forests import Record
 from .iterated import IForest
 from .notation import ParseError, _Tokens
 from .terms import check_grade
 
 
-@dataclass(frozen=True, order=True)
-class Ordinal:
+@total_ordering
+class Ordinal(Record):
     """CNF term list; invariant: decreasing exponents, positive coefficients."""
 
-    terms: tuple[tuple["Ordinal", int], ...] = ()
+    __slots__ = ("terms", "_hash")
+    __match_args__ = ("terms",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, terms: tuple[tuple["Ordinal", int], ...] = ()) -> None:
         prev = None
-        for exp, coef in self.terms:
+        for exp, coef in terms:
             if not isinstance(exp, Ordinal) or coef < 1:
                 raise ValueError("CNF terms need ordinal exponents and positive coefficients")
             if prev is not None and ord_compare(exp, prev) >= 0:
                 raise ValueError("CNF exponents must strictly decrease")
             prev = exp
-        object.__setattr__(self, "_hash", hash(self.terms))
+        self._set(terms, hash(terms))
 
     def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+        return self._hash
+
+    def __lt__(self, other: "Ordinal") -> bool:
+        if type(other) is not Ordinal:
+            return NotImplemented
+        return self.terms < other.terms
 
     def __repr__(self) -> str:
         return f"Ordinal({format_ordinal(self)!r})"

@@ -16,51 +16,50 @@ chosen jump shift.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 from . import iterated
+from .forests import Record
 from .iterated import IForest, ITree
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(Record):
     """A constant color ``i``; denotes the constant partition."""
 
-    color: int
+    __slots__ = __match_args__ = ("color",)
 
-    def __post_init__(self) -> None:
-        if self.color < 0:
+    def __init__(self, color: int) -> None:
+        if color < 0:
             raise ValueError("colors are non-negative")
+        self._set(color)
 
 
-@dataclass(frozen=True)
-class Join:
-    left: "Term"
-    right: "Term"
+class Join(Record):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: "Term", right: "Term") -> None:
+        self._set(left, right)
 
 
-@dataclass(frozen=True)
-class G:
+class G(Record):
     """Mind-change combinator: ``on_diverge`` until the oracle halts, then
     ``on_halt`` takes over."""
 
-    on_halt: "GTerm"
-    on_diverge: "GTerm"
-    oracle: "GTerm"
+    __slots__ = __match_args__ = ("on_halt", "on_diverge", "oracle")
+
+    def __init__(self, on_halt: "GTerm", on_diverge: "GTerm", oracle: "GTerm") -> None:
+        self._set(on_halt, on_diverge, oracle)
 
 
-@dataclass(frozen=True)
-class Dot:
+class Dot(Record):
     """``left .^grade right``: the graded sequential product."""
 
-    grade: int
-    left: "STerm"
-    right: "STerm"
+    __slots__ = __match_args__ = ("grade", "left", "right")
 
-    def __post_init__(self) -> None:
-        if self.grade < 0:
+    def __init__(self, grade: int, left: "STerm", right: "STerm") -> None:
+        if grade < 0:
             raise ValueError("grade must be a natural number")
+        self._set(grade, left, right)
 
 
 GTerm = Const | Join | G

@@ -292,6 +292,14 @@ class TestSegmentBounds:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("nodes, level", [(2000, 0), (1000, 1)])
+    def test_long_multisets_answer(self, capsys, nodes, level):
+        # a multiset takes one frame per distinct tree, not one per copy, so a
+        # color or its one-node tree repeated a thousand times is no deep input
+        argv = ["enumerate", "--k", "1", "--nodes", str(nodes), "--level", str(level)]
+        assert capture(capsys, *argv) == (
+            0, f"fhc-segment v1 k=1 nodes={nodes} level={level}\n{{}}\n{{0}}\ncovers:\n0 1\n")
+
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
     def test_dense_segment_stays_small(self):
         # 9384 classes
