@@ -13,9 +13,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import hierarchy, iterated, notation, ordinals, terms
+from . import hierarchy, iterated, ordinals, terms
 from .forests import OracleBoundError
 from .hierarchy import LevelDescriptor, SegmentBoundError
+from .iterated import IForest
 from .notation import parse_forest, parse_term, serialize_forest, serialize_term, serialize_tree
 from .terms import GradeBoundError
 
@@ -106,8 +107,10 @@ def _alphabet(args) -> int | None:
 
 
 def _parse_sterm(text: str):
+    # a parsed term uses G exactly when its text holds a "G", and a graded
+    # product exactly when it holds a "."
     u = parse_term(text)
-    return terms.g_to_s(u) if notation._uses_g(u) else u
+    return terms.g_to_s(u) if "G" in text else u
 
 
 def _check_term_colors(u, k: int | None) -> None:
@@ -128,61 +131,61 @@ def _cmd_cmp(args) -> tuple:
         bwd = iterated.colim_leq(b, a, args.n)
     verdict = {(True, True): "=", (True, False): "<",
                (False, True): ">", (False, False): "||"}[(fwd, bwd)]
-    return verdict, serialize_forest(a), serialize_forest(b)
+    return verdict, a, b
 
 
 def _cmd_min(args) -> tuple:
     f = parse_forest(args.forest, _alphabet(args))
     m = iterated.representative(f)
-    return serialize_forest(m), serialize_forest(f), None
+    return serialize_forest(m), f, None
 
 
 def _cmd_decompose(args) -> tuple:
     f = parse_forest(args.forest, _alphabet(args))
     parts = iterated.iminimize(f).trees
     text = "\n".join(serialize_tree(t) for t in parts)
-    return text, serialize_forest(f), None
+    return text, f, None
 
 
 def _cmd_encode(args) -> tuple:
     f = parse_forest(args.forest, _alphabet(args))
     u = terms.encode(f, args.n)
-    return serialize_term(u), serialize_forest(f), None
+    return serialize_term(u), f, None
 
 
 def _cmd_eval(args) -> tuple:
     u = _parse_sterm(args.term)
     _check_term_colors(u, _alphabet(args))
     f = terms.interpret(u)
-    return serialize_forest(f), serialize_term(u), None
+    return serialize_forest(f), u, None
 
 
 def _cmd_g2s(args) -> tuple:
     u = parse_term(args.term)
-    if notation._uses_dot(u):
+    if "." in args.term:
         raise ValueError("g2s expects a G-signature term")
-    return serialize_term(terms.g_to_s(u)), serialize_term(u), None
+    return serialize_term(terms.g_to_s(u)), u, None
 
 
 def _cmd_s2g(args) -> tuple:
     u = parse_term(args.term)
-    if notation._uses_g(u):
+    if "G" in args.term:
         raise ValueError("s2g expects a star-signature term")
-    return serialize_term(terms.s_to_g(u)), serialize_term(u), None
+    return serialize_term(terms.s_to_g(u)), u, None
 
 
 def _cmd_jump_height(args) -> tuple:
     u = parse_term(args.term)
-    if notation._uses_dot(u):
+    if "." in args.term:
         u = terms.s_to_g(u)
-    return str(terms.jump_height(u)), serialize_term(u), None
+    return str(terms.jump_height(u)), u, None
 
 
 def _cmd_normalize(args) -> tuple:
     u = _parse_sterm(args.term)
     out = (terms.restrict_level(u, args.n) if args.m is None
            else terms.window_normalize(u, args.n, args.m))
-    return serialize_term(out), serialize_term(u), None
+    return serialize_term(out), u, None
 
 
 def _cmd_level_subset(args) -> tuple:
@@ -190,13 +193,13 @@ def _cmd_level_subset(args) -> tuple:
     t = LevelDescriptor(parse_forest(args.forest, k))
     v = LevelDescriptor(parse_forest(args.forest1, k))
     verdict = hierarchy.level_relation(t, v)
-    return verdict, serialize_forest(t.forest), serialize_forest(v.forest)
+    return verdict, t.forest, v.forest
 
 
 def _cmd_witness(args) -> tuple:
     t = LevelDescriptor(parse_forest(args.forest, _alphabet(args)))
     w = hierarchy.complete_witness(t, args.n)
-    return serialize_term(w), serialize_forest(t.forest), None
+    return serialize_term(w), t.forest, None
 
 
 def _cmd_build_t(args) -> tuple:
@@ -219,8 +222,16 @@ def _cmd_segment(args) -> tuple:
     return write(seg).rstrip("\n"), None, None
 
 
+def _echo(operand):
+    """An operand's JSON text: a forest or a term prints canonically."""
+    if isinstance(operand, IForest):
+        return serialize_forest(operand)
+    return operand if operand is None or isinstance(operand, str) else serialize_term(operand)
+
+
 def _render(result: tuple, args) -> str:
-    """The text of a handler's ``(verdict, lhs, rhs)``; lhs and rhs may be None."""
+    """The text of a handler's ``(verdict, lhs, rhs)``.  The operands lhs and
+    rhs (forests, terms, text or None) print only in JSON."""
     verdict, lhs, rhs = result
     fmt = args.format or ("dot" if args.command == "diagram" else "text")
     if fmt == "dot" and args.command != "diagram":
@@ -229,7 +240,7 @@ def _render(result: tuple, args) -> str:
         import json  # only JSON output pays for the import
 
         params = {p: vars(args)[p] for p in args.params if vars(args)[p] is not None}
-        payload = {"verdict": verdict, "lhs": lhs, "rhs": rhs, "params": params}
+        payload = {"verdict": verdict, "lhs": _echo(lhs), "rhs": _echo(rhs), "params": params}
         return json.dumps(payload, sort_keys=True)
     return verdict
 

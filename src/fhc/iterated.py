@@ -123,13 +123,17 @@ def color_forest(*colors: int) -> IForest:
 
 
 def itree(label: ITree, *children: ITree) -> ITree:
-    return ITree(label.level + 1, label, tuple(children))
+    """``[label:children]``: the label and children lifted to one level."""
+    level = max([label.level + 1, *[c.level for c in children]])
+    return ITree(level, _moved(label, level - 1), tuple(_moved(c, level) for c in children))
 
 
 def iforest(*trees: ITree) -> IForest:
+    """The trees lifted to one level."""
     if not trees:
         raise ValueError("level of an empty forest is ambiguous; use IForest")
-    return IForest(trees[0].level, tuple(trees))
+    level = max(t.level for t in trees)
+    return IForest(level, tuple(_moved(t, level) for t in trees))
 
 
 def singleton(t: ITree) -> IForest:
@@ -138,12 +142,6 @@ def singleton(t: ITree) -> IForest:
 
 # ---------------------------------------------------------------------------
 # Lifting between levels.
-
-def lift_tree(t: ITree, target: int) -> ITree:
-    if target < t.level:
-        raise ValueError("cannot lower level by lifting")
-    return t if t.level == target else _moved(t, target)  # the parser's common case
-
 
 def lift(f: IForest, target: int) -> IForest:
     """Embed ``f`` at a higher level without changing its class."""

@@ -21,7 +21,7 @@ import re
 
 from . import iterated
 from .iterated import IForest, ITree
-from .terms import Const, Dot, G, Join, Term, subterms
+from .terms import Const, Dot, G, Join, Term
 
 
 class ParseError(ValueError):
@@ -33,120 +33,126 @@ class ParseError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Forest text.
+# Tokens: one scan of the text, for forests, terms and ``ordinals`` alike.
 
-_FOREST_TOKEN = re.compile(r"\s*(\d+|[\[\]{}:,])")
+def _lexicon(symbols: str) -> tuple[re.Pattern, re.Pattern]:
+    """The pattern of a token (a natural or one of ``symbols``) after white
+    space, and the pattern of a character that is neither."""
+    symbols = re.escape(symbols)
+    return re.compile(rf"\s*(\d+|[{symbols}])"), re.compile(rf"[^\s\d{symbols}]")
 
 
 class _Tokens:
-    def __init__(self, text: str, pattern: re.Pattern) -> None:
-        self.items: list[tuple[str, int]] = []
-        pos = 0
-        while pos < len(text):
-            if text[pos].isspace():
-                pos += 1
-                continue
-            m = pattern.match(text, pos)
-            if not m:
-                raise ParseError(f"unexpected character {text[pos]!r}", pos)
-            self.items.append((m.group(1), m.start(1)))
-            pos = m.end()
+    """The tokens of ``text`` as strings, found by one scan; a token's
+    position is recomputed only for an error."""
+
+    def __init__(self, text: str, lexicon: tuple[re.Pattern, re.Pattern]) -> None:
+        self.text, (self.pattern, other) = text, lexicon
+        bad = other.search(text)
+        if bad:
+            raise ParseError(f"unexpected character {bad.group()!r}", bad.start())
+        self.items: list[str] = self.pattern.findall(text)
         self.index = 0
 
-    def peek(self) -> str | None:
-        if self.index < len(self.items):
-            return self.items[self.index][0]
-        return None
+    def position(self, index: int) -> int:
+        """Where token ``index`` starts; past the last token, where it ends."""
+        spans = [m.span(1) for m in self.pattern.finditer(self.text)] or [(0, 0)]
+        return spans[index][0] if index < len(spans) else spans[-1][1]
 
-    def position(self) -> int:
-        if self.index < len(self.items):
-            return self.items[self.index][1]
-        return self.items[-1][1] + len(self.items[-1][0]) if self.items else 0
+    def error(self, index: int, expected: str, at_end: str | None = None) -> ParseError:
+        """``expected, got 'token'`` at token ``index``; past the last token,
+        ``at_end`` (default ``expected``)."""
+        if index < len(self.items):
+            return ParseError(f"{expected}, got {self.items[index]!r}", self.position(index))
+        return ParseError(expected if at_end is None else at_end, self.position(index))
 
-    def take(self, expected: str | None = None) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(
-                f"unexpected end of input, expected {expected or 'more input'}",
-                self.position(),
-            )
-        if expected is not None and tok != expected:
-            raise ParseError(f"expected {expected!r}, got {tok!r}", self.position())
-        self.index += 1
-        return tok
+    def wrong(self, index: int, due: str) -> ParseError:
+        """The error for token ``index`` where the token ``due`` belongs."""
+        return self.error(index, f"expected {due!r}", f"unexpected end of input, expected {due}")
+
+    def trailing(self, index: int) -> ParseError:
+        return ParseError(f"trailing input {self.items[index]!r}", self.position(index))
+
+    def take(self, expected: str) -> None:
+        if not self.accept(expected):
+            raise self.wrong(self.index, expected)
 
     def accept(self, tok: str) -> bool:
         """Take ``tok`` if it comes next."""
-        if self.peek() != tok:
-            return False
-        self.index += 1
-        return True
+        found = self.items[self.index:self.index + 1] == [tok]
+        self.index += found
+        return found
 
     def natural(self, expected: str) -> int:
         """Take a number, or fail with the message ``expected``."""
-        tok = self.peek()
-        if tok is None or not tok.isdigit():
-            got = "end of input" if tok is None else repr(tok)
-            raise ParseError(f"{expected}, got {got}", self.position())
+        tok = self.items[self.index] if self.index < len(self.items) else ""
+        if not tok.isdigit():
+            raise self.error(self.index, expected, f"{expected}, got end of input")
         self.index += 1
         return int(tok)
 
     def finish(self) -> None:
         """Refuse any input left over."""
-        if self.peek() is not None:
-            raise ParseError(f"trailing input {self.peek()!r}", self.position())
+        if self.index < len(self.items):
+            raise self.trailing(self.index)
+
+
+# ---------------------------------------------------------------------------
+# Forest text.
+
+_FOREST_SYMBOLS = "[]{}:,"
+_FOREST = _lexicon(_FOREST_SYMBOLS)
 
 
 def parse_forest(text: str, k: int | None = 2) -> IForest:
     """Parse forest text; colors must stay below ``k`` (None = unbounded).
 
     Syntax errors take precedence over out-of-range colors; of those, the
-    first in text order is reported.
+    first in text order is reported.  One loop over the tokens keeps the
+    open trees on a stack, so any depth of nesting parses.
     """
-    tokens = _Tokens(text, _FOREST_TOKEN)
-    colors: list[int] = []  # every color read, in text order
-    if tokens.accept("{"):
-        trees = _parse_trees(tokens, "}", colors)
-        tokens.take("}")
-    else:
-        trees = [_parse_tree(tokens, colors)]
-    tokens.finish()
-    bad = [c for c in colors if k is not None and c >= k]
-    if bad:
-        raise ValueError(f"color {bad[0]} outside alphabet of size {k}")
-    level = max((t.level for t in trees), default=0)
-    return IForest(level, tuple(iterated.lift_tree(t, level) for t in trees))
-
-
-def _parse_trees(tokens: _Tokens, close: str, colors: list[int]) -> list[ITree]:
-    """Comma-separated trees up to (not including) ``close``; may be none."""
-    trees: list[ITree] = []
-    if tokens.peek() != close:
-        trees.append(_parse_tree(tokens, colors))
-        while tokens.accept(","):
-            trees.append(_parse_tree(tokens, colors))
-    return trees
-
-
-def _parse_tree(tokens: _Tokens, colors: list[int]) -> ITree:
-    tok = tokens.peek()
-    if tok is None:
-        raise ParseError("expected a tree", tokens.position())
-    if tok.isdigit():
-        tokens.take()
-        colors.append(int(tok))
-        return iterated.color(int(tok))
-    if not tokens.accept("["):
-        raise ParseError(f"expected a tree, got {tok!r}", tokens.position())
-    label = _parse_tree(tokens, colors)
-    children = _parse_trees(tokens, "]", colors) if tokens.accept(":") else []
-    tokens.take("]")
-    level = max([label.level + 1] + [c.level for c in children])
-    return ITree(
-        level,
-        iterated.lift_tree(label, level - 1),
-        tuple(iterated.lift_tree(c, level) for c in children),
-    )
+    tokens = _Tokens(text, _FOREST)
+    colors: dict[str, ITree] = {}  # each color token once, in text order
+    made: dict[tuple, ITree] = {}  # each tree once, by its label and children
+    stack: list[list] = [[]]  # the forest's trees, then each open tree's label and children
+    braced = tokens.items[:1] == ["{"]
+    # a tree is due (``want``), which ``close`` may replace to end a list; or
+    # else ``sep`` or ``close`` is due; "" is the end of the input
+    want, sep, close = True, None, "}" if braced else None
+    for i, tok in enumerate(tokens.items[braced:] + [""], braced):
+        if want and tok != close:
+            if tok == "[":
+                stack.append([])
+                close = None
+                continue
+            if tok in _FOREST_SYMBOLS:
+                raise tokens.error(i, "expected a tree")
+            t = colors.get(tok) or colors.setdefault(tok, iterated.color(int(tok)))
+        elif tok == close:
+            if tok == "}":
+                want, sep, close = False, None, None
+                continue
+            key = tuple(stack.pop())
+            t = made.get(key) or made.setdefault(key, iterated.itree(*key))
+        elif tok == sep:
+            want, close = True, "]" if tok == ":" else None
+            continue
+        elif close or tok:
+            raise tokens.wrong(i, close) if close else tokens.trailing(i)
+        else:
+            break
+        # ``t`` is complete: the label or a child of the open tree, or a tree
+        # of the forest
+        stack[-1].append(t)
+        want = False
+        if len(stack) > 1:
+            sep, close = ":" if len(stack[-1]) == 1 else ",", "]"
+        else:
+            sep, close = (",", "}") if braced else (None, None)
+    for t in colors.values():
+        if k is not None and t.label >= k:
+            raise ValueError(f"color {t.label} outside alphabet of size {k}")
+    return iterated.iforest(*stack[0]) if stack[0] else IForest(0)
 
 
 def serialize_tree(t: ITree) -> str:
@@ -171,61 +177,66 @@ def serialize_forest(f: IForest) -> str:
 # ---------------------------------------------------------------------------
 # Term text.
 
-_TERM_TOKEN = re.compile(r"\s*(\d+|[().+,]|G)")
+_TERM_SYMBOLS = "().+,G"
+_TERM = _lexicon(_TERM_SYMBOLS)
 
 
 def parse_term(text: str) -> Term:
     """Parse a term; returns a G-signature or star-signature term.
 
     The combinator ``G(...)`` and the graded product ``.p`` may not appear
-    in the same term.
+    in the same term.  As in ``parse_forest``, one loop keeps the open terms
+    on a stack, so any depth of nesting parses.
     """
-    tokens = _Tokens(text, _TERM_TOKEN)
-    term = _parse_term_expr(tokens)
-    tokens.finish()
-    if _uses_g(term) and _uses_dot(term):
+    tokens = _Tokens(text, _TERM)
+    consts: dict[str, Const] = {}
+    stack: list[list] = []  # open terms: [constructor or None, operand...]
+    # what is due: None a term, "+" an operator, "." a grade, "" nothing
+    # (the term is done), else that token; the token "" ends the input
+    due = None
+    for i, tok in enumerate(tokens.items + [""]):
+        if due is None:
+            if tok in ("(", "G"):
+                stack.append([None] if tok == "(" else [G])
+                due = None if tok == "(" else "("
+                continue
+            if tok in _TERM_SYMBOLS:
+                raise tokens.error(i, "expected a term")
+            u = consts.get(tok) or consts.setdefault(tok, Const(int(tok)))
+        elif due == "+":
+            if not tok:
+                raise tokens.error(i, "unexpected end of input, expected more input")
+            if tok not in ("+", "."):
+                raise ParseError(f"expected '+' or '.', got {tok!r}", tokens.position(i + 1))
+            stack[-1][0], due = (Join, None) if tok == "+" else (Dot, ".")
+            continue
+        elif due == ".":
+            if not tok.isdigit():
+                raise tokens.error(i, "grade expected after '.'",
+                                   "grade expected after '.', got end of input")
+            stack[-1].insert(1, int(tok))
+            due = None
+            continue
+        elif tok != due:
+            raise tokens.wrong(i, due) if due else tokens.trailing(i)
+        elif not tok:
+            break
+        elif tok == ")":
+            make, *operands = stack.pop()
+            u = make(*operands)
+        else:
+            due = None
+            continue
+        # ``u`` is complete: an operand of the open term, or the whole term
+        if stack:
+            stack[-1].append(u)
+            make = stack[-1][0]
+            due = "+" if make is None else "," if make is G and len(stack[-1]) < 4 else ")"
+        else:
+            due = ""
+    if "G" in tokens.items and "." in tokens.items:
         raise ValueError("mixed signatures: term uses both G(...) and .p")
-    return term
-
-
-def _parse_term_expr(tokens: _Tokens) -> Term:
-    tok = tokens.peek()
-    if tok is None:
-        raise ParseError("expected a term", tokens.position())
-    if tok.isdigit():
-        tokens.take()
-        return Const(int(tok))
-    if tokens.accept("G"):
-        tokens.take("(")
-        a = _parse_term_expr(tokens)
-        tokens.take(",")
-        b = _parse_term_expr(tokens)
-        tokens.take(",")
-        c = _parse_term_expr(tokens)
-        tokens.take(")")
-        return G(a, b, c)
-    if tokens.accept("("):
-        left = _parse_term_expr(tokens)
-        op = tokens.take()
-        if op == "+":
-            right = _parse_term_expr(tokens)
-            tokens.take(")")
-            return Join(left, right)
-        if op == ".":
-            grade = tokens.natural("grade expected after '.'")
-            right = _parse_term_expr(tokens)
-            tokens.take(")")
-            return Dot(grade, left, right)
-        raise ParseError(f"expected '+' or '.', got {op!r}", tokens.position())
-    raise ParseError(f"expected a term, got {tok!r}", tokens.position())
-
-
-def _uses_g(u: Term) -> bool:
-    return any(isinstance(x, G) for x in subterms(u))
-
-
-def _uses_dot(u: Term) -> bool:
-    return any(isinstance(x, Dot) for x in subterms(u))
+    return u
 
 
 def serialize_term(u: Term) -> str:

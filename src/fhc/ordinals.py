@@ -14,13 +14,12 @@ mixed limit multiplies the leading-power level onto the join of the rest.
 
 from __future__ import annotations
 
-import re
 from functools import total_ordering
 
 from . import iterated
 from .forests import Record
 from .iterated import IForest
-from .notation import ParseError, _Tokens
+from .notation import ParseError, _lexicon, _Tokens
 from .terms import check_grade
 
 
@@ -110,13 +109,13 @@ def peel_last(a: Ordinal) -> tuple[Ordinal, Ordinal]:
 # ---------------------------------------------------------------------------
 # Text syntax: 0 | naturals | w | w^<ord> | *<nat> coefficients | + sums.
 
-_ORDINAL_TOKEN = re.compile(r"\s*(\d+|[w^*+()])")
+_ORDINAL = _lexicon("w^*+()")
 
 
 def parse_ordinal(text: str) -> Ordinal:
     """Parse the canonical syntax; non-canonical input is rejected, never
     normalized.  Errors are ``ParseError``s naming their position."""
-    tokens = _Tokens(text, _ORDINAL_TOKEN)
+    tokens = _Tokens(text, _ORDINAL)
     ordinal = _parse_sum(tokens)
     tokens.finish()
     return ordinal
@@ -125,13 +124,13 @@ def parse_ordinal(text: str) -> Ordinal:
 def _parse_sum(tokens: _Tokens) -> Ordinal:
     terms = [_parse_term(tokens)]
     while tokens.accept("+"):
-        start = tokens.position()
+        start = tokens.index
         exp, coef = _parse_term(tokens)
         if ord_compare(exp, terms[-1][0]) >= 0:
             raise ParseError("exponents must strictly decrease; input is not canonical",
-                             start)
+                             tokens.position(start))
         if coef == 0:
-            raise ParseError("zero coefficient in a sum", start)
+            raise ParseError("zero coefficient in a sum", tokens.position(start))
         terms.append((exp, coef))
     return ZERO if terms == [(ZERO, 0)] else Ordinal(tuple(terms))
 
@@ -142,10 +141,10 @@ def _parse_term(tokens: _Tokens) -> tuple[Ordinal, int]:
     exp = _parse_factor(tokens) if tokens.accept("^") else ONE
     if not tokens.accept("*"):
         return exp, 1
-    start = tokens.position()
+    start = tokens.index
     coef = tokens.natural("coefficient expected after '*'")
     if coef < 1:
-        raise ParseError("coefficients are positive", start)
+        raise ParseError("coefficients are positive", tokens.position(start))
     return exp, coef
 
 

@@ -349,6 +349,17 @@ class TestDeepInput:
             "error: input nests too deeply (Python recursion limit 1000)\n"
         )
 
+    @pytest.mark.parametrize("argv, out", [
+        (("cmp", "[0:" * 330 + "[1]" + "]" * 330, "{}"), ">\n"),
+        (("cmp", "{}", "[0:" * 330 + "[1]" + "]" * 330), "<\n"),
+        (("jump-height", "G(0,1," * 500 + "0" + ")" * 500), "500\n"),
+    ], ids=["cmp-330-chain-bottom", "cmp-bottom-330-chain", "jump-height-500-G"])
+    def test_text_output_prints_no_operand(self, argv, out):
+        # only JSON output prints the operands, so text output answers deep
+        # input that no layer but the operands' printer recurses through
+        proc = run(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+
 
 class TestNegativeBounds:
     @pytest.mark.parametrize("argv, flag, value", [

@@ -26,6 +26,7 @@ from fhc.hierarchy import (
     write_segment,
 )
 from fhc.notation import parse_forest, serialize_forest
+from fhc.ordinals import Ordinal, build_t, from_int, ord_compare
 from conftest import ORACLE_LABELS, h_leq_rows
 
 CHAIN = parse_forest("[0:[1:]]")
@@ -297,6 +298,18 @@ def _image(classes, perm) -> list[int]:
     return [where[iterated.representative(_recolor(c, perm))] for c in classes]
 
 
+def _ordinals(max_exponent: int, max_coefficient: int) -> set:
+    """The naturals to 8 and every w^e1*c1 + w^e2*c2 with natural exponents
+    e1 > e2 up to ``max_exponent`` and coefficients up to ``max_coefficient``."""
+    powers = [from_int(e) for e in range(max_exponent + 1)]
+    coefficients = range(1, max_coefficient + 1)
+    out = {from_int(n) for n in range(9)}
+    out |= {Ordinal(((e, c),)) for e in powers for c in coefficients}
+    for e2, e1 in itertools.combinations(powers, 2):
+        out |= {Ordinal(((e1, c1), (e2, c2))) for c1 in coefficients for c2 in coefficients}
+    return out
+
+
 class TestTheory:
     """Checks from the theory, on the classes and covers alone."""
 
@@ -324,6 +337,35 @@ class TestTheory:
             image = _image(seg.classes, perm)
             assert sorted(image) == list(range(len(seg.classes))), perm
             assert {(image[lo], image[hi]) for lo, hi in covers} == covers, perm
+
+    @pytest.mark.parametrize("segment", [(2, 6, 1), (2, 6, 2)],
+                             ids="k{0[0]}-n{0[1]}-l{0[2]}".format)
+    def test_two_color_classes_are_ordinal_levels(self, segment):
+        # for two colors the non-self-dual levels are the T_alpha of the level
+        # family (Wadge's hierarchy), so build_t and the ordinal order decide
+        # the segment with no code shared with the forest order
+        named: dict = {}
+        for alpha in _ordinals(max_exponent=5, max_coefficient=3):
+            for i in (0, 1):
+                name = iterated.representative(build_t(alpha, i, 0, 2))
+                named.setdefault(name, []).append((alpha, i))
+        seg = enumerate_segment(*segment)
+        single = [c for c in seg.classes if len(c.trees) == 1]
+        assert all(len(named.get(c, ())) == 1 for c in single), [
+            serialize_forest(c) for c in single if len(named.get(c, ())) != 1]
+        rows = _order_from_covers(len(seg.classes), seg.covers)
+        index = {c: n for n, c in enumerate(seg.classes)}
+        for a, b in itertools.product(single, repeat=2):
+            (alpha, i), = named[a]
+            (beta, j), = named[b]
+            ordinal_leq = ord_compare(alpha, beta) < 0 or (alpha == beta and i == j)
+            assert bool(rows[index[a]] >> index[b] & 1) == ordinal_leq, (
+                serialize_forest(a), serialize_forest(b))
+        # the rest are bottom and the self-dual joins of both polarities
+        joins = {iterated.representative(iterated.join(*(build_t(alpha, i, 0, 2)
+                                                          for i in (0, 1))))
+                 for alpha in _ordinals(max_exponent=2, max_coefficient=3)}
+        assert {c for c in seg.classes if len(c.trees) != 1} <= joins | {iterated.IForest(0)}
 
 
 class TestHasseDot:
