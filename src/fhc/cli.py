@@ -10,15 +10,15 @@ than BUILD_T_BOUND nodes, is refused too).  Every error is one line on stderr.
 
 from __future__ import annotations
 
-import argparse
+import re
 import sys
+from types import SimpleNamespace
 
+# a submodule runs when first read: hierarchy, ordinals and terms in their handlers
 from . import hierarchy, iterated, ordinals, terms
 from .forests import OracleBoundError
-from .hierarchy import LevelDescriptor, SegmentBoundError
-from .iterated import IForest
+from .iterated import IForest, SegmentBoundError
 from .notation import parse_forest, parse_term, serialize_forest, serialize_term, serialize_tree
-from .terms import GradeBoundError
 
 
 #: the most nodes ``build-T`` prints; its results share subtrees, which print unfolded
@@ -29,73 +29,142 @@ class OutputBoundError(RuntimeError):
     """Raised when a result has too many nodes to print."""
 
 
-class _Parser(argparse.ArgumentParser):
-    # usage problems are user errors: exit 1, not argparse's default 2
-    def error(self, message: str) -> None:  # type: ignore[override]
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+class UsageError(ValueError):
+    """A command line that does not fit the subcommand table."""
 
 
-def natural(text: str) -> int:
-    """Argument type of the bounds: a non-negative integer."""
-    if int(text) < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
-    return int(text)
+#: every option: its type ("int", "natural", bool for a flag, or a tuple of
+#: choices), its default (``...`` if it must be given), usage and help
+OPTIONS = {
+    "--help": (bool, False, "-h", "show this help and exit"),
+    "--k": ("int", 2, "--k K", "alphabet size (colors 0..k-1); default 2"),
+    "--n": ("natural", 0, "--n N", "jump shift / relation level; default 0"),
+    "--format": (("text", "json", "dot"), None, "--format {text,json,dot}",
+                 "output format; default text, dot for diagram"),
+    "--oracle": (bool, False, "--oracle", "decide by brute-force map search (guarded)"),
+    "--m": ("natural", None, "--m M", "window width"),
+    "--nodes": ("natural", ..., "--nodes NODES", "node-count bound for the enumeration"),
+    "--level": ("natural", ..., "--level LEVEL", "nesting-level bound for the enumeration"),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="fhc", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+def build_parser() -> dict[str, tuple]:
+    """The subcommand table: name -> (handler, help, positionals, options,
+    params), ``params`` being the arguments its JSON output echoes."""
+    table = {}
 
-    def add(name, handler, help_text, *positionals, params=("k",), segment=False):
-        """A subcommand; ``params`` are the arguments its JSON output echoes."""
-        p = sub.add_parser(name, help=help_text)
-        for arg in positionals:
-            p.add_argument(arg, type=int if arg == "color" else None)
-        p.add_argument("--k", type=int, default=2,
-                       help="alphabet size (colors 0..k-1); default 2")
-        p.add_argument("--n", type=natural, default=0,
-                       help="jump shift / relation level; default 0")
-        if segment:
-            p.add_argument("--nodes", type=natural, required=True,
-                           help="node-count bound for the enumeration")
-            p.add_argument("--level", type=natural, required=True,
-                           help="nesting-level bound for the enumeration")
-        p.add_argument("--format", choices=["text", "json", "dot"], default=None)
-        p.set_defaults(handler=handler, params=params)
-        return p
+    def add(name, handler, help_text, *positionals, params=("k",), options=()):
+        options = ("--help", "--k", "--n", "--format", *options)
+        table[name] = (handler, help_text, positionals, options, params)
 
-    p = add("cmp", _cmd_cmp, "compare two forests: prints <  >  =  ||",
-            "forest", "forest1", params=("k", "n", "oracle"))
-    p.add_argument("--oracle", action="store_true",
-                   help="decide by brute-force map search (guarded)")
+    add("cmp", _cmd_cmp, "compare two forests: prints <  >  =  ||",
+        "forest", "forest1", params=("k", "n", "oracle"), options=("--oracle",))
     add("min", _cmd_min, "minimize a forest to its canonical representative", "forest")
     add("decompose", _cmd_decompose,
         "canonical decomposition into incomparable minimal trees", "forest")
     add("encode", _cmd_encode, "canonical term of a forest at shift n", "forest",
         params=("k", "n"))
     add("eval", _cmd_eval, "evaluate a term to a forest", "term")
-    add("g2s", _cmd_g2s, "translate a G-signature term to graded products", "term",
-        params=())
-    add("s2g", _cmd_s2g, "expand graded products into the G combinator", "term",
-        params=())
-    add("jump-height", _cmd_jump_height, "jumps above bottom a term denotes", "term",
-        params=())
-    p = add("normalize", _cmd_normalize,
-            "restrict grades below n, or into the window [n, n+m) with --m", "term",
-            params=("n", "m"))
-    p.add_argument("--m", type=natural, default=None, help="window width")
+    add("g2s", _cmd_g2s, "translate a G-signature term to graded products", "term", params=())
+    add("s2g", _cmd_s2g, "expand graded products into the G combinator", "term", params=())
+    add("jump-height", _cmd_jump_height, "jumps above bottom a term denotes", "term", params=())
+    add("normalize", _cmd_normalize,
+        "restrict grades below n, or into the window [n, n+m) with --m", "term",
+        params=("n", "m"), options=("--m",))
     add("level-subset", _cmd_level_subset, "inclusion verdict between two levels",
         "forest", "forest1")
     add("witness", _cmd_witness, "complete partition of a level, symbolically",
         "forest", params=("k", "n"))
     add("build-T", _cmd_build_t, "level index for an ordinal and color",
         "ordinal", "color", params=("k", "n"))
-    add("enumerate", _cmd_segment, "quotient segment in the cache format",
-        params=("k", "nodes", "level"), segment=True)
-    add("diagram", _cmd_segment, "quotient segment as a DOT Hasse diagram",
-        params=("k", "nodes", "level"), segment=True)
-    return parser
+    for name, what in ("enumerate", "in the cache format"), ("diagram", "as a DOT Hasse diagram"):
+        add(name, _cmd_segment, f"quotient segment {what}", params=("k", "nodes", "level"),
+            options=("--nodes", "--level"))
+    return table
+
+
+def _option(arg: str, options) -> tuple[str | None, str | None]:
+    """``arg``'s option of ``options``, named in full or by a unique prefix
+    (``-h`` is ``--help``), and its "=" value; else ("", None) for a value
+    (``-``, a negative number, a text with a space), or (None, None)."""
+    flag, eq, value = arg.partition("=")
+    flag = "--help" if flag == "-h" else flag
+    hits = [o for o in options if o.startswith(flag)] if flag[:2] == "--" else []
+    if flag in options or len(hits) == 1:
+        return flag if flag in options else hits[0], value if eq else None
+    number = re.fullmatch(r"-\d+|-\d*\.\d+", arg)
+    return "" if arg[:1] != "-" or arg == "-" or " " in arg or number else None, None
+
+
+def _help(table: dict, command: str | None) -> None:
+    """Print the usage of ``fhc``, or of its ``command``, and exit 0."""
+    if command is None:
+        usage, about = f"fhc [-h] {{{','.join(table)}}} ...", __doc__
+        rows = [(name, row[1]) for name, row in table.items()]
+    else:
+        _, about, positionals, options, _ = table[command]
+        rows = [OPTIONS[o][2:] for o in options]
+        words = [w if OPTIONS[o][1] is ... else f"[{w}]" for o, (w, _) in zip(options, rows)]
+        usage = " ".join(["fhc", command, *words, *positionals])
+    print(f"usage: {usage}", "", about.strip(), "", *(f"  {w:<26}{h}" for w, h in rows), sep="\n")
+    raise SystemExit(0)
+
+
+def _convert(name: str, kind, text: str):
+    """``text`` as the value of argument ``name`` of type ``kind``."""
+    if isinstance(kind, tuple):
+        if text not in kind:
+            choices = ", ".join(map(repr, kind))
+            raise UsageError(f"argument {name}: invalid choice: {text!r} (choose from {choices})")
+        return text
+    try:
+        value = int(text)
+    except ValueError:
+        raise UsageError(f"argument {name}: invalid {kind} value: {text!r}") from None
+    if kind == "natural" and value < 0:
+        raise UsageError(f"argument {name}: must be non-negative, got {text}")
+    return value
+
+
+def _read(argv: list[str]) -> SimpleNamespace:
+    """Read argv left to right as the subcommand table declares it (see
+    README); help, and a bad value, end the reading where they stand."""
+    table, args, extra = build_parser(), {"command": None}, []
+    todo, options, rest, dashed = ("command",), ("--help",), iter(argv), False
+    for arg in rest:
+        name, value = ("", None) if dashed else _option(arg, options)
+        if name == "" or arg == "--" and args["command"] is None:  # a positional
+            if not todo:
+                extra.append(arg)
+            elif todo[0] == "command":
+                handler, _, todo, options, params = table[_convert(todo[0], tuple(table), arg)]
+                args.update(command=arg, handler=handler, params=params)
+                args.update((o[2:], OPTIONS[o][1]) for o in options[1:])
+            else:
+                name, todo = todo[0], todo[1:]
+                args[name] = _convert(name, "int", arg) if name == "color" else arg
+        elif arg == "--":  # what follows is positional
+            dashed = True
+        elif name is None:
+            extra.append(arg)
+        elif OPTIONS[name][0] is bool:
+            if value is not None:
+                raise UsageError(f"argument {name}: ignored explicit argument {value!r}")
+            if name == "--help":
+                _help(table, args["command"])
+            args[name[2:]] = True
+        else:
+            if value is None:  # the next argument, which must be a value
+                value = next(rest, "--")
+                if _option(value, options)[0] != "":
+                    raise UsageError(f"argument {name}: expected one argument")
+            args[name[2:]] = _convert(name, OPTIONS[name][0], value)
+    missing = [*todo, *(o for o in options if args.get(o[2:]) is ...)]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extra:
+        raise UsageError(f"unrecognized arguments: {' '.join(extra)}")
+    return SimpleNamespace(**args)
 
 
 def _alphabet(args) -> int | None:
@@ -123,12 +192,8 @@ def _cmd_cmp(args) -> tuple:
     k = _alphabet(args)
     a = parse_forest(args.forest, k)
     b = parse_forest(args.forest1, k)
-    if args.oracle:
-        fwd = iterated.colim_leq_oracle(a, b, args.n)
-        bwd = iterated.colim_leq_oracle(b, a, args.n)
-    else:
-        fwd = iterated.colim_leq(a, b, args.n)
-        bwd = iterated.colim_leq(b, a, args.n)
+    leq = iterated.colim_leq_oracle if args.oracle else iterated.colim_leq
+    fwd, bwd = leq(a, b, args.n), leq(b, a, args.n)
     verdict = {(True, True): "=", (True, False): "<",
                (False, True): ">", (False, False): "||"}[(fwd, bwd)]
     return verdict, a, b
@@ -136,28 +201,23 @@ def _cmd_cmp(args) -> tuple:
 
 def _cmd_min(args) -> tuple:
     f = parse_forest(args.forest, _alphabet(args))
-    m = iterated.representative(f)
-    return serialize_forest(m), f, None
+    return serialize_forest(iterated.representative(f)), f, None
 
 
 def _cmd_decompose(args) -> tuple:
     f = parse_forest(args.forest, _alphabet(args))
-    parts = iterated.iminimize(f).trees
-    text = "\n".join(serialize_tree(t) for t in parts)
-    return text, f, None
+    return "\n".join(serialize_tree(t) for t in iterated.iminimize(f).trees), f, None
 
 
 def _cmd_encode(args) -> tuple:
     f = parse_forest(args.forest, _alphabet(args))
-    u = terms.encode(f, args.n)
-    return serialize_term(u), f, None
+    return serialize_term(terms.encode(f, args.n)), f, None
 
 
 def _cmd_eval(args) -> tuple:
     u = _parse_sterm(args.term)
     _check_term_colors(u, _alphabet(args))
-    f = terms.interpret(u)
-    return serialize_forest(f), u, None
+    return serialize_forest(terms.interpret(u)), u, None
 
 
 def _cmd_g2s(args) -> tuple:
@@ -190,16 +250,14 @@ def _cmd_normalize(args) -> tuple:
 
 def _cmd_level_subset(args) -> tuple:
     k = _alphabet(args)
-    t = LevelDescriptor(parse_forest(args.forest, k))
-    v = LevelDescriptor(parse_forest(args.forest1, k))
-    verdict = hierarchy.level_relation(t, v)
-    return verdict, t.forest, v.forest
+    t = hierarchy.LevelDescriptor(parse_forest(args.forest, k))
+    v = hierarchy.LevelDescriptor(parse_forest(args.forest1, k))
+    return hierarchy.level_relation(t, v), t.forest, v.forest
 
 
 def _cmd_witness(args) -> tuple:
-    t = LevelDescriptor(parse_forest(args.forest, _alphabet(args)))
-    w = hierarchy.complete_witness(t, args.n)
-    return serialize_term(w), t.forest, None
+    t = hierarchy.LevelDescriptor(parse_forest(args.forest, _alphabet(args)))
+    return serialize_term(hierarchy.complete_witness(t, args.n)), t.forest, None
 
 
 def _cmd_build_t(args) -> tuple:
@@ -217,8 +275,7 @@ def _cmd_build_t(args) -> tuple:
 
 def _cmd_segment(args) -> tuple:
     seg = hierarchy.enumerate_segment(args.k, args.nodes, args.level)
-    write = (hierarchy.hasse_dot if args.command == "diagram"
-             else hierarchy.write_segment)
+    write = hierarchy.hasse_dot if args.command == "diagram" else hierarchy.write_segment
     return write(seg).rstrip("\n"), None, None
 
 
@@ -246,21 +303,21 @@ def _render(result: tuple, args) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        result = args.handler(args)
-        print(_render(result, args))
-    except (OracleBoundError, SegmentBoundError, OutputBoundError, GradeBoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        print("error: input nests too deeply (Python recursion limit"
-              f" {sys.getrecursionlimit()})", file=sys.stderr)
-        return 2
+        args = _read(sys.argv[1:] if argv is None else argv)
+        print(_render(args.handler(args), args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, UsageError):  # help and usage errors exit from inside main
+            raise SystemExit(1) from None
         return 1
+    # read after ValueError, so that only a refusal with exit 2 loads terms
+    except (RecursionError, OracleBoundError, SegmentBoundError, OutputBoundError,
+            terms.GradeBoundError) as exc:
+        if isinstance(exc, RecursionError):
+            exc = f"input nests too deeply (Python recursion limit {sys.getrecursionlimit()})"
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

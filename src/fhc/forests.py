@@ -28,21 +28,24 @@ class OracleBoundError(RuntimeError):
 
 
 class Record:
-    """An immutable value whose fields are the names in ``__match_args__``.
+    """An immutable value whose fields are its slots, but ``_hash``.
 
     Records are equal when they are of one type with equal fields, hash by
     their fields, print as ``Name(field=value, ...)``, refuse to set or delete
     a field, and pickle and copy through their constructor.  A subclass
-    declares its fields, then any values it caches, as slots, and its
-    ``__init__`` sets them in that order with ``_set``.
+    declares its fields as slots, then ``_hash`` if it stores the hash of its
+    fields when it is built, and its ``__init__`` sets them with ``_set``.
     """
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
-        # the fields as one value (a tuple for two or more) for == and hash
-        cls._key = attrgetter(*cls.__match_args__)
+        if cls.__slots__:  # else the fields are the base's
+            cls.__match_args__ = tuple(name for name in cls.__slots__ if name != "_hash")
+        cls._key = attrgetter(*cls.__match_args__)  # the fields as one value, for == and hash
+        if "_hash" in cls.__slots__:
+            cls.__hash__ = lambda self: self._hash
 
     def _set(self, *values) -> None:
         for name, value in zip(self.__slots__, values):
@@ -77,7 +80,7 @@ class LabelPreorder(Record):
     this is assumed, not checked.
     """
 
-    __slots__ = __match_args__ = ("leq", "name")
+    __slots__ = ("leq", "name")
 
     def __init__(self, leq: Callable[[Any, Any], bool], name: str = "preorder") -> None:
         self._set(leq, name)
@@ -98,13 +101,9 @@ class LTree(Record):
     """
 
     __slots__ = ("label", "children", "_hash")
-    __match_args__ = ("label", "children")
 
     def __init__(self, label: Any, children: tuple["LTree", ...] = ()) -> None:
         self._set(label, children, hash((label, children)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def size(self) -> int:
@@ -118,13 +117,9 @@ class LForest(Record):
     """A finite sequence of trees; the empty forest is the bottom element."""
 
     __slots__ = ("trees", "_hash")
-    __match_args__ = ("trees",)
 
     def __init__(self, trees: tuple[LTree, ...] = ()) -> None:
         self._set(trees, hash(trees))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def size(self) -> int:

@@ -23,7 +23,6 @@ from operator import and_
 from . import iterated, notation, terms
 from .forests import Record
 from .iterated import IForest, SegmentBoundError
-from .terms import GTerm
 
 EQUAL = "equal"
 SUBSET = "subset"
@@ -37,7 +36,7 @@ class LevelDescriptor(Record):
     """Index of one hierarchy level; join-irreducible descriptors are the
     non-self-dual levels (single trees)."""
 
-    __slots__ = __match_args__ = ("forest",)
+    __slots__ = ("forest",)
 
     def __init__(self, forest: IForest) -> None:
         if forest.is_empty():
@@ -62,7 +61,7 @@ def level_relation(t: LevelDescriptor, v: LevelDescriptor) -> str:
     return INCOMPARABLE
 
 
-def complete_witness(t: LevelDescriptor, shift: int = 0) -> GTerm:
+def complete_witness(t: LevelDescriptor, shift: int = 0) -> terms.GTerm:
     """A symbolic description of a partition complete in the level.
 
     The term is read as a nested mind-change procedure over iterated jump
@@ -82,7 +81,7 @@ class QuotientSegment(Record):
     (lower index, upper index) pairs.
     """
 
-    __slots__ = __match_args__ = ("k", "max_nodes", "max_level", "classes", "covers")
+    __slots__ = ("k", "max_nodes", "max_level", "classes", "covers")
 
     def __init__(self, k: int, max_nodes: int, max_level: int,
                  classes: tuple[IForest, ...], covers: tuple[tuple[int, int], ...]) -> None:

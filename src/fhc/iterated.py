@@ -91,7 +91,7 @@ _SORT_KEY = attrgetter("sort_key")
 class IForest(Record):
     """A finite sequence of same-level trees; may be empty at any level."""
 
-    __slots__ = __match_args__ = ("level", "trees")
+    __slots__ = ("level", "trees")
 
     def __init__(self, level: int, trees: tuple[ITree, ...] = ()) -> None:
         for t in trees:

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import re
 
-from . import iterated
+from . import iterated, terms
 from .iterated import IForest, ITree
-from .terms import Const, Dot, G, Join, Term
 
 
 class ParseError(ValueError):
@@ -181,7 +180,7 @@ _TERM_SYMBOLS = "().+,G"
 _TERM = _lexicon(_TERM_SYMBOLS)
 
 
-def parse_term(text: str) -> Term:
+def parse_term(text: str) -> terms.Term:
     """Parse a term; returns a G-signature or star-signature term.
 
     The combinator ``G(...)`` and the graded product ``.p`` may not appear
@@ -189,7 +188,7 @@ def parse_term(text: str) -> Term:
     on a stack, so any depth of nesting parses.
     """
     tokens = _Tokens(text, _TERM)
-    consts: dict[str, Const] = {}
+    consts: dict[str, terms.Const] = {}
     stack: list[list] = []  # open terms: [constructor or None, operand...]
     # what is due: None a term, "+" an operator, "." a grade, "" nothing
     # (the term is done), else that token; the token "" ends the input
@@ -197,18 +196,18 @@ def parse_term(text: str) -> Term:
     for i, tok in enumerate(tokens.items + [""]):
         if due is None:
             if tok in ("(", "G"):
-                stack.append([None] if tok == "(" else [G])
+                stack.append([None] if tok == "(" else [terms.G])
                 due = None if tok == "(" else "("
                 continue
             if tok in _TERM_SYMBOLS:
                 raise tokens.error(i, "expected a term")
-            u = consts.get(tok) or consts.setdefault(tok, Const(int(tok)))
+            u = consts.get(tok) or consts.setdefault(tok, terms.Const(int(tok)))
         elif due == "+":
             if not tok:
                 raise tokens.error(i, "unexpected end of input, expected more input")
             if tok not in ("+", "."):
                 raise ParseError(f"expected '+' or '.', got {tok!r}", tokens.position(i + 1))
-            stack[-1][0], due = (Join, None) if tok == "+" else (Dot, ".")
+            stack[-1][0], due = (terms.Join, None) if tok == "+" else (terms.Dot, ".")
             continue
         elif due == ".":
             if not tok.isdigit():
@@ -231,7 +230,7 @@ def parse_term(text: str) -> Term:
         if stack:
             stack[-1].append(u)
             make = stack[-1][0]
-            due = "+" if make is None else "," if make is G and len(stack[-1]) < 4 else ")"
+            due = "+" if make is None else "," if make is terms.G and len(stack[-1]) < 4 else ")"
         else:
             due = ""
     if "G" in tokens.items and "." in tokens.items:
@@ -239,15 +238,15 @@ def parse_term(text: str) -> Term:
     return u
 
 
-def serialize_term(u: Term) -> str:
+def serialize_term(u: terms.Term) -> str:
     match u:
-        case Const(color):
+        case terms.Const(color):
             return str(color)
-        case Join(left, right):
+        case terms.Join(left, right):
             return f"({serialize_term(left)}+{serialize_term(right)})"
-        case Dot(grade, left, right):
+        case terms.Dot(grade, left, right):
             return f"({serialize_term(left)} .{grade} {serialize_term(right)})"
-        case G(on_halt, on_diverge, oracle):
+        case terms.G(on_halt, on_diverge, oracle):
             parts = ",".join(
                 serialize_term(x) for x in (on_halt, on_diverge, oracle)
             )

@@ -28,7 +28,6 @@ class Ordinal(Record):
     """CNF term list; invariant: decreasing exponents, positive coefficients."""
 
     __slots__ = ("terms", "_hash")
-    __match_args__ = ("terms",)
 
     def __init__(self, terms: tuple[tuple["Ordinal", int], ...] = ()) -> None:
         prev = None
@@ -39,9 +38,6 @@ class Ordinal(Record):
                 raise ValueError("CNF exponents must strictly decrease")
             prev = exp
         self._set(terms, hash(terms))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __lt__(self, other: "Ordinal") -> bool:
         if type(other) is not Ordinal:

@@ -16,7 +16,7 @@ chosen jump shift.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from functools import lru_cache, reduce
+from functools import cache, lru_cache, reduce
 
 from . import iterated
 from .forests import Record
@@ -26,7 +26,7 @@ from .iterated import IForest, ITree
 class Const(Record):
     """A constant color ``i``; denotes the constant partition."""
 
-    __slots__ = __match_args__ = ("color",)
+    __slots__ = ("color",)
 
     def __init__(self, color: int) -> None:
         if color < 0:
@@ -35,31 +35,31 @@ class Const(Record):
 
 
 class Join(Record):
-    __slots__ = __match_args__ = ("left", "right")
+    __slots__ = ("left", "right", "_hash")
 
     def __init__(self, left: "Term", right: "Term") -> None:
-        self._set(left, right)
+        self._set(left, right, hash((left, right)))
 
 
 class G(Record):
     """Mind-change combinator: ``on_diverge`` until the oracle halts, then
     ``on_halt`` takes over."""
 
-    __slots__ = __match_args__ = ("on_halt", "on_diverge", "oracle")
+    __slots__ = ("on_halt", "on_diverge", "oracle", "_hash")
 
     def __init__(self, on_halt: "GTerm", on_diverge: "GTerm", oracle: "GTerm") -> None:
-        self._set(on_halt, on_diverge, oracle)
+        self._set(on_halt, on_diverge, oracle, hash((on_halt, on_diverge, oracle)))
 
 
 class Dot(Record):
     """``left .^grade right``: the graded sequential product."""
 
-    __slots__ = __match_args__ = ("grade", "left", "right")
+    __slots__ = ("grade", "left", "right", "_hash")
 
     def __init__(self, grade: int, left: "STerm", right: "STerm") -> None:
         if grade < 0:
             raise ValueError("grade must be a natural number")
-        self._set(grade, left, right)
+        self._set(grade, left, right, hash((grade, left, right)))
 
 
 GTerm = Const | Join | G
@@ -157,9 +157,10 @@ def s_to_g(u: STerm) -> GTerm:
 
     This is the single place where the operand swap between the two
     signatures happens: ``left .^p right`` becomes
-    ``G(right', left', jump_term(p))``.
+    ``G(right', left', jump_term(p))``; each grade's chain is built once.
     """
-    return _rebuild(u, lambda p, left, right: G(right, left, jump_term(p)))
+    chain = cache(jump_term)
+    return _rebuild(u, lambda p, left, right: G(right, left, chain(p)))
 
 
 def restrict_level(u: STerm, n: int) -> STerm:

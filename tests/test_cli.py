@@ -127,8 +127,12 @@ class TestCommands:
 def _subcommands():
     from fhc.cli import build_parser
 
-    (action,) = [a for a in build_parser()._actions if a.dest == "command"]
-    return sorted(action.choices)
+    names = sorted(build_parser())
+    assert names == sorted([
+        "cmp", "min", "decompose", "encode", "eval", "g2s", "s2g", "jump-height",
+        "normalize", "level-subset", "witness", "build-T", "enumerate", "diagram",
+    ])
+    return names
 
 
 @pytest.mark.parametrize("command", _subcommands())
@@ -139,11 +143,114 @@ def test_help_exits_0(capsys, command):
     assert capsys.readouterr().out.startswith(f"usage: fhc {command} ")
 
 
+COMMANDS = ("(choose from 'cmp', 'min', 'decompose', 'encode', 'eval', 'g2s', 's2g',"
+            " 'jump-height', 'normalize', 'level-subset', 'witness', 'build-T', 'enumerate',"
+            " 'diagram')")
+
+#: argv, exit code, stderr and stdout of usage errors, of help, and of the
+#: argv forms the reader accepts; a help text is pinned by the start of its
+#: first line
+USAGE = [
+    pytest.param((), 1, "error: the following arguments are required: command\n",
+                 "", id="no command"),
+    pytest.param(("frobnicate",), 1,
+                 "error: argument command: invalid choice: 'frobnicate' " + COMMANDS + "\n",
+                 "", id="unknown command"),
+    pytest.param(("cmp", "0"), 1, "error: the following arguments are required: forest1\n",
+                 "", id="missing positional"),
+    pytest.param(("enumerate", "--nodes", "1"), 1,
+                 "error: the following arguments are required: --level\n",
+                 "", id="missing option"),
+    pytest.param(("min", "0", "--foo", "3"), 1, "error: unrecognized arguments: --foo 3\n",
+                 "", id="unknown option"),
+    pytest.param(("min", "0", "--oracle"), 1, "error: unrecognized arguments: --oracle\n",
+                 "", id="another command's option"),
+    pytest.param(("--foo", "min", "0"), 1, "error: unrecognized arguments: --foo\n",
+                 "", id="option before the command"),
+    pytest.param(("cmp", "0", "1", "--k"), 1, "error: argument --k: expected one argument\n",
+                 "", id="no value"),
+    pytest.param(("cmp", "0", "1", "--k", "--n", "1"), 1,
+                 "error: argument --k: expected one argument\n",
+                 "", id="option as value"),
+    pytest.param(("cmp", "0", "1", "--k", "x"), 1, "error: argument --k: invalid int value: 'x'\n",
+                 "", id="bad int"),
+    pytest.param(("cmp", "0", "1", "--n", "x"), 1,
+                 "error: argument --n: invalid natural value: 'x'\n",
+                 "", id="bad natural"),
+    pytest.param(("build-T", "w", "x"), 1, "error: argument color: invalid int value: 'x'\n",
+                 "", id="bad int positional"),
+    pytest.param(("cmp", "0", "1", "--n", "-1"), 1,
+                 "error: argument --n: must be non-negative, got -1\n",
+                 "", id="negative bound"),
+    pytest.param(("min", "0", "--format", "xml"), 1,
+                 "error: argument --format: invalid choice: 'xml'"
+                 " (choose from 'text', 'json', 'dot')\n",
+                 "", id="bad format"),
+    pytest.param(("min", "0", "--format", "dot"), 1,
+                 "error: dot output is only available for diagram\n",
+                 "", id="dot outside diagram"),
+    pytest.param(("cmp", "0", "1", "--oracle=1"), 1,
+                 "error: argument --oracle: ignored explicit argument '1'\n",
+                 "", id="flag with a value"),
+    pytest.param(("cmp", "0", "1", "--form", "json"), 0, "",
+                 '{"lhs": "{0}", "params": {"k": 2, "n": 0, "oracle": false}, "rhs": "{1}",'
+                 ' "verdict": "||"}\n',
+                 id="unique prefix"),
+    pytest.param(("enumerate", "--no", "1", "--l", "0"), 0, "",
+                 "fhc-segment v1 k=2 nodes=1 level=0\n{}\n{0}\n{1}\ncovers:\n0 1\n0 2\n",
+                 id="prefixes"),
+    pytest.param(("min", "{2}", "--k=3"), 0, "",
+                 "{2}\n", id="equals"),
+    pytest.param(("min", "--k", "3", "--", "{2}"), 0, "",
+                 "{2}\n", id="double dash"),
+    pytest.param(("min", "0", "--", "--k"), 1, "error: unrecognized arguments: --k\n",
+                 "", id="option after double dash"),
+    pytest.param(("--", "min", "0"), 1,
+                 "error: argument command: invalid choice: '--' " + COMMANDS + "\n",
+                 "", id="double dash as command"),
+    pytest.param(("min", "{2}", "--k", "2", "--k", "3"), 0, "",
+                 "{2}\n", id="last repeat wins"),
+    pytest.param(("cmp", "0", "1", "--k", "3", "--k", "x"), 1,
+                 "error: argument --k: invalid int value: 'x'\n",
+                 "", id="bad repeat"),
+    pytest.param(("cmp", "0", "1", "--k", "-1"), 1,
+                 "error: alphabet size must be at least 2 (0 for unbounded)\n",
+                 "", id="negative value"),
+    pytest.param(("build-T", "w", "-1"), 1, "error: color -1 outside alphabet of size 2\n",
+                 "", id="negative positional"),
+    pytest.param(("min", "-["), 1, "error: the following arguments are required: forest\n",
+                 "", id="dash argument"),
+    pytest.param(("min", "0", "-["), 1, "error: unrecognized arguments: -[\n",
+                 "", id="extra dash argument"),
+    pytest.param(("min", "-1 2"), 1, "error: unexpected character '-' (at position 0)\n",
+                 "", id="argument with a space"),
+    pytest.param(("cmp", "--help", "0", "--k", "x"), 0, "",
+                 "usage: fhc cmp [-h] [--k K] [--n N] [--format {text,json,dot}] [--oracle]",
+                 id="help before a bad value"),
+    pytest.param(("cmp", "0", "--k", "x", "--help"), 1,
+                 "error: argument --k: invalid int value: 'x'\n",
+                 "", id="help after a bad value"),
+    pytest.param(("-h",), 0, "",
+                 "usage: fhc [-h]", id="top-level help"),
+]
+
+
+@pytest.mark.parametrize("argv, code, err, out", USAGE)
+def test_usage_is_pinned(capsys, argv, code, err, out):
+    try:
+        got = main(list(argv))
+    except SystemExit as exc:
+        got = exc.code
+    captured = capsys.readouterr()
+    assert (got, captured.err) == (code, err)
+    assert captured.out == out or out.startswith("usage: ") and captured.out.startswith(out)
+
+
 class TestExitCodes:
     def test_unknown_command(self):
         proc = run("frobnicate")
         assert proc.returncode == 1
-        # one line, no argparse usage lines before it
+        # one line, no usage lines before it
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("error: argument command: invalid choice")
 

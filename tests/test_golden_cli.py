@@ -102,7 +102,7 @@ def invoke(argv, env) -> tuple[int, str]:
             redirect_stdout(out), redirect_stderr(StringIO()):
         try:
             code = main(list(argv))
-        except SystemExit as exc:  # argparse refusals exit from inside main
+        except SystemExit as exc:  # help and usage refusals exit from inside main
             code = exc.code
     return code, out.getvalue()
 

@@ -117,24 +117,48 @@ def test_ordinal_comparisons_agree_with_ord_compare():
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-#: the site hooks are left out (-S), so only what fhc itself imports is seen
+#: the site hooks are left out (-S), so only what fhc itself imports is seen;
+#: prints the verdict, every module loaded, and the fhc modules not yet run
+#: (a module the package loads on first use is no plain module until then)
 IMPORT_SCRIPT = """\
 import sys
+from types import ModuleType
 sys.path.insert(0, sys.argv[1])
 import fhc.cli
 fhc.cli.build_parser()
-fhc.cli.main(["cmp", "{0}", "{[0:[1]]}"])
+fhc.cli.main(sys.argv[2:])
 print(" ".join(sorted(sys.modules)))
+print(" ".join(sorted(name for name, module in sys.modules.items()
+                      if name.startswith("fhc.") and type(module) is not ModuleType)))
 """
+
+#: every module bench/shim.py reads from sys.modules for fhc.cli's layers
+LAYER_MODULES = {"fhc.cli", "fhc.forests", "fhc.hierarchy", "fhc.iterated", "fhc.notation",
+                 "fhc.ordinals", "fhc.terms"}
+
+
+def _fresh_call(*argv: str) -> tuple[str, set[str], set[str]]:
+    proc = subprocess.run([sys.executable, "-S", "-c", IMPORT_SCRIPT, str(SRC), *argv],
+                          capture_output=True, text=True, check=True)
+    verdict, modules, unrun = proc.stdout.split("\n")[:3]
+    return verdict, set(modules.split()), set(unrun.split())
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_json():
-    proc = subprocess.run([sys.executable, "-S", "-c", IMPORT_SCRIPT, str(SRC)],
-                          capture_output=True, text=True, check=True)
-    verdict, modules = proc.stdout.splitlines()
+    verdict, loaded, unrun = _fresh_call("cmp", "{0}", "{[0:[1]]}")
     assert verdict == "<"
-    loaded = set(modules.split())
-    assert not loaded & {"dataclasses", "inspect", "json"}
-    # bench/shim.py reads every module of fhc.cli's layers from sys.modules
-    assert {"fhc.cli", "fhc.forests", "fhc.hierarchy", "fhc.iterated", "fhc.notation",
-            "fhc.ordinals", "fhc.terms"} <= loaded
+    assert not loaded & {"argparse", "dataclasses", "inspect", "json"}
+    # a forest command runs no term, ordinal or segment code, but every layer's
+    # module is in sys.modules for the shim
+    assert unrun == {"fhc.terms", "fhc.ordinals", "fhc.hierarchy"}
+    assert LAYER_MODULES <= loaded
+
+
+@pytest.mark.parametrize("argv, verdict", [
+    (("eval", "(0 .0 1)"), "{[0:[1]]}"),
+    (("s2g", "(1 .0 0)"), "G(0,1,0)"),
+    (("jump-height", "G(0,1,G(0,1,0))"), "2"),
+])
+def test_term_commands_run_no_ordinal_or_segment_code(argv, verdict):
+    assert _fresh_call(*argv)[0] == verdict
+    assert _fresh_call(*argv)[2] == {"fhc.ordinals", "fhc.hierarchy"}
