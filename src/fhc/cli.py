@@ -5,7 +5,7 @@ bytes.  Exit status is 0 for success, 1 for a user error (bad syntax,
 unknown flag, out-of-range color), 2 when a resource guard refuses the
 computation (FHC_ORACLE_BOUND overrides the brute-force map-search guard;
 input nested past the Python recursion limit, or a ``build-T`` result of more
-than BUILD_T_BOUND nodes, is refused too).  Every error is one line on stderr.
+than ordinals.BUILD_T_BOUND nodes, is refused too).  Every error is one line on stderr.
 """
 
 from __future__ import annotations
@@ -19,14 +19,6 @@ from . import hierarchy, iterated, ordinals, terms
 from .forests import OracleBoundError
 from .iterated import IForest, SegmentBoundError
 from .notation import parse_forest, parse_term, serialize_forest, serialize_term, serialize_tree
-
-
-#: the most nodes ``build-T`` prints; its results share subtrees, which print unfolded
-BUILD_T_BOUND = 1_000_000
-
-
-class OutputBoundError(RuntimeError):
-    """Raised when a result has too many nodes to print."""
 
 
 class UsageError(ValueError):
@@ -262,14 +254,7 @@ def _cmd_witness(args) -> tuple:
 
 def _cmd_build_t(args) -> tuple:
     alpha = ordinals.parse_ordinal(args.ordinal)
-    if not alpha.is_zero() and args.k >= BUILD_T_BOUND:
-        # every nonzero level index holds a color stacked over all k colors
-        raise OutputBoundError(
-            f"build-T too large: more than {args.k} nodes exceed the bound {BUILD_T_BOUND}")
     f = ordinals.build_t(alpha, args.color, args.n, args.k)
-    if f.size > BUILD_T_BOUND:
-        raise OutputBoundError(
-            f"build-T too large: {f.size} nodes exceed the bound {BUILD_T_BOUND}")
     return serialize_forest(f), ordinals.format_ordinal(alpha), str(args.color)
 
 
@@ -311,9 +296,9 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(exc, UsageError):  # help and usage errors exit from inside main
             raise SystemExit(1) from None
         return 1
-    # read after ValueError, so that only a refusal with exit 2 loads terms
-    except (RecursionError, OracleBoundError, SegmentBoundError, OutputBoundError,
-            terms.GradeBoundError) as exc:
+    # read after ValueError, so that only a refusal with exit 2 loads terms and ordinals
+    except (RecursionError, OracleBoundError, SegmentBoundError, terms.GradeBoundError,
+            ordinals.OutputBoundError) as exc:
         if isinstance(exc, RecursionError):
             exc = f"input nests too deeply (Python recursion limit {sys.getrecursionlimit()})"
         print(f"error: {exc}", file=sys.stderr)

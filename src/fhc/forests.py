@@ -148,10 +148,12 @@ def singleton(label: Any) -> LForest:
 # The embedding order, decided by structural recursion.
 
 def _nodes(t) -> Iterator:
-    """All subtrees of ``t`` in preorder; one per node."""
-    yield t
-    for c in t.children:
-        yield from _nodes(c)
+    """All subtrees of ``t`` in preorder; one per node, without recursion."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        yield t
+        stack.extend(reversed(t.children))
 
 
 def _tree_leq(a, b, q: LabelPreorder, memo: dict) -> bool:

@@ -197,7 +197,7 @@ def hasse_dot(seg: QuotientSegment) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Segment cache file: a stable line-oriented text format.
+# Segment cache file: a stable line-oriented text format, written only.
 
 def write_segment(seg: QuotientSegment) -> str:
     lines = [f"fhc-segment v1 k={seg.k} nodes={seg.max_nodes} level={seg.max_level}"]
@@ -206,47 +206,3 @@ def write_segment(seg: QuotientSegment) -> str:
     lines.extend(f"{lo} {hi}" for lo, hi in sorted(seg.covers))
     return "\n".join(lines) + "\n"
 
-
-def read_segment(text: str) -> QuotientSegment:
-    """Parse the cache format; any malformed file raises ``ValueError``."""
-    lines = text.splitlines()
-    if not lines:
-        raise ValueError("empty segment file")
-    header = lines[0].split()
-    if header[:2] != ["fhc-segment", "v1"]:
-        raise ValueError(f"not a segment file: {lines[0]!r}")
-    params = {}
-    for item in header[2:]:
-        key, eq, value = item.partition("=")
-        if not eq:
-            raise ValueError(f"segment header item without '=': {item!r}")
-        params[key] = value
-    try:
-        k, nodes, level = (int(params[key]) for key in ("k", "nodes", "level"))
-    except KeyError as exc:
-        raise ValueError(f"segment header lacks {exc.args[0]}=") from None
-    for key, value in zip(("k", "nodes", "level"), (k, nodes, level)):
-        if value < 0:
-            raise ValueError(f"segment header item {key}={params[key]} is negative")
-    classes: list[IForest] = []
-    covers: list[tuple[int, int]] = []
-    in_covers = False
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        if line.strip() == "covers:":
-            in_covers = True
-            continue
-        if in_covers:
-            try:
-                lo, hi = map(int, line.split())
-            except ValueError:
-                raise ValueError(f"cover line is not two indices: {line!r}") from None
-            if min(lo, hi) < 0 or max(lo, hi) >= len(classes):
-                raise ValueError(f"cover {line!r} names no class of {len(classes)}")
-            if lo == hi:
-                raise ValueError(f"cover {line!r} runs from a class to itself")
-            covers.append((lo, hi))
-        else:
-            classes.append(notation.parse_forest(line, k))
-    return QuotientSegment(k, nodes, level, tuple(classes), tuple(covers))

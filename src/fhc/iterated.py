@@ -212,6 +212,8 @@ def colim_leq(a: IForest, b: IForest, n: int = 0) -> bool:
 
 def _dropped(a: IForest, b: IForest, n: int) -> tuple[IForest, IForest]:
     """``a`` and ``b`` after ``n`` ``r_drop``s, which change nothing at level 0."""
+    if n < 0:
+        raise ValueError(f"grade or relation level must be non-negative, got {n}")
     for _ in range(min(n, max(a.level, b.level))):
         a, b = r_drop(a), r_drop(b)
     return a, b
@@ -221,14 +223,12 @@ def colim_equiv(a: IForest, b: IForest, n: int = 0) -> bool:
     return colim_leq(a, b, n) and colim_leq(b, a, n)
 
 
-def colim_leq_oracle(
-    a: IForest, b: IForest, n: int = 0, bound: int | None = None
-) -> bool:
+def colim_leq_oracle(a: IForest, b: IForest, n: int = 0) -> bool:
     """``colim_leq`` decided by the brute-force map search; small inputs only."""
     a, b = _dropped(a, b, n)
     if a.level == b.level == 0:
         return set(a.trees) <= set(b.trees)
-    return forests.h_leq_oracle(a, b, LABEL_ORDER, bound)
+    return forests.h_leq_oracle(a, b, LABEL_ORDER)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,13 @@ from .iterated import IForest
 from .notation import ParseError, _lexicon, _Tokens
 from .terms import check_grade
 
+#: the most nodes ``build_t`` builds; its results share subtrees, which print unfolded
+BUILD_T_BOUND = 1_000_000
+
+
+class OutputBoundError(RuntimeError):
+    """Raised when a level index has too many nodes to print."""
+
 
 @total_ordering
 class Ordinal(Record):
@@ -181,7 +188,9 @@ def build_t(alpha: Ordinal, i: int, n: int, k: int) -> IForest:
 
     Products in the successor and limit clauses are taken at grade ``n``,
     which makes the grade parameter drive depth growth across powers of
-    omega (guarded by the monotonicity acceptance test).
+    omega (guarded by the monotonicity acceptance test).  A product of more
+    than BUILD_T_BOUND nodes is refused as soon as its head and one of its
+    ``k`` equal-sized parts are built.
     """
     if k is None or k < 2:
         raise ValueError("finite alphabet required for the level family (k >= 2)")
@@ -205,11 +214,21 @@ def build_t(alpha: Ordinal, i: int, n: int, k: int) -> IForest:
                 # col (successor) or the last power, stacked over the join of
                 # all lower levels
                 check_grade(grade)
-                everyone = iterated.join(*(rec(beta, j, grade) for j in range(k)))
+                first = rec(beta, 0, grade)
                 head = (iterated.color_forest(col) if gamma.is_zero()
                         else rec(omega_pow(gamma), col, grade))
-                out = iterated.dot_p(head, everyone, grade)
+                # the product keeps all of head and all k parts
+                _check_size(head.size + k * first.size)
+                rest = (rec(beta, j, grade) for j in range(1, k))
+                out = iterated.dot_p(head, iterated.join(first, *rest), grade)
+                _check_size(out.size)
         memo[key] = out
         return out
 
     return rec(alpha, i, n)
+
+
+def _check_size(least: int) -> None:
+    if least > BUILD_T_BOUND:
+        raise OutputBoundError(
+            f"build-T too large: at least {least} nodes exceed the bound {BUILD_T_BOUND}")

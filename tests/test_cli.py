@@ -265,6 +265,14 @@ class TestExitCodes:
     def test_parse_error(self, capsys):
         assert capture(capsys, "min", "{0,]")[0] == 1
 
+    @pytest.mark.parametrize("argv, err", [
+        (("g2s", "(1 .0 0)"), "error: g2s expects a G-signature term\n"),
+        (("s2g", "G(0,1,0)"), "error: s2g expects a star-signature term\n"),
+    ])
+    def test_translation_refuses_the_other_signature(self, capsys, argv, err):
+        assert main(list(argv)) == 1
+        assert capsys.readouterr() == ("", err)
+
     def test_dot_format_restricted(self, capsys):
         assert capture(capsys, "cmp", "0", "0", "--format", "dot")[0] == 1
 
@@ -289,10 +297,10 @@ class TestExitCodes:
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "=\n", "")
 
     def test_build_t_guard(self, capsys):
-        # built at once as a shared DAG; refused before it is printed unfolded
+        # refused at the first product past the bound: T_10 has 1398101 nodes
         assert main(["build-T", "50", "0", "--k", "4"]) == 2
         assert capsys.readouterr() == ("", (
-            "error: build-T too large: 1690200800304305868662270940501 nodes"
+            "error: build-T too large: at least 1398101 nodes"
             " exceed the bound 1000000\n"))
 
     def test_build_t_alphabet_guard(self, capsys):
@@ -300,7 +308,7 @@ class TestExitCodes:
         # before the k colors are built
         assert main(["build-T", "w^2*2+w+3", "3", "--n", "7", "--k", "1000000"]) == 2
         assert capsys.readouterr() == ("", (
-            "error: build-T too large: more than 1000000 nodes exceed the bound 1000000\n"))
+            "error: build-T too large: at least 1000001 nodes exceed the bound 1000000\n"))
         assert main(["build-T", "0", "3", "--k", str(10**12)]) == 0
         assert capsys.readouterr().out == "{3}\n"
 
@@ -446,8 +454,7 @@ class TestDeepInput:
 
     @pytest.mark.parametrize("argv", [
         ("min", "[" * 500 + "0" + "]" * 500),
-        ("cmp", "[0:" * 299 + "[1]" + "]" * 299, "[0:" * 299 + "[0]" + "]" * 299),
-    ], ids=["min-500-brackets", "cmp-300-chains"])
+    ], ids=["min-500-brackets"])
     def test_refused_with_exit_2(self, argv):
         proc = run(*argv)
         assert proc.returncode == 2
@@ -460,7 +467,10 @@ class TestDeepInput:
         (("cmp", "[0:" * 330 + "[1]" + "]" * 330, "{}"), ">\n"),
         (("cmp", "{}", "[0:" * 330 + "[1]" + "]" * 330), "<\n"),
         (("jump-height", "G(0,1," * 500 + "0" + ")" * 500), "500\n"),
-    ], ids=["cmp-330-chain-bottom", "cmp-bottom-330-chain", "jump-height-500-G"])
+        (("cmp", "[0:" * 299 + "[1]" + "]" * 299, "[0:" * 299 + "[0]" + "]" * 299), ">\n"),
+        (("cmp", "[1:" + "[0:" * 1498 + "[0]" + "]" * 1499, "{0}", "--n", "1"), ">\n"),
+    ], ids=["cmp-330-chain-bottom", "cmp-bottom-330-chain", "jump-height-500-G",
+            "cmp-300-chains", "cmp-n1-1500-chain"])
     def test_text_output_prints_no_operand(self, argv, out):
         # only JSON output prints the operands, so text output answers deep
         # input that no layer but the operands' printer recurses through

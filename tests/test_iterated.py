@@ -252,6 +252,12 @@ class TestColimLeq:
             assert colim_leq(a, b, 10**12) == expected, (a, b)
             assert colim_leq_oracle(a, b, 10**12) == expected, (a, b)
 
+    @pytest.mark.parametrize("op", [colim_leq, colim_leq_oracle, dot_p])
+    def test_negative_level_refused(self, op):
+        a = parse_forest("[0:[1]]")
+        with pytest.raises(ValueError, match="must be non-negative, got -1"):
+            op(a, a, -1)
+
 
 def _lifted_leq(a, b, n):
     """``a <=^n b`` by the definition: lift both operands to a common level,

@@ -162,3 +162,13 @@ def test_cli_import_loads_no_dataclasses_inspect_or_json():
 def test_term_commands_run_no_ordinal_or_segment_code(argv, verdict):
     assert _fresh_call(*argv)[0] == verdict
     assert _fresh_call(*argv)[2] == {"fhc.ordinals", "fhc.hierarchy"}
+
+
+def test_package_names_resolve_to_their_modules():
+    import fhc
+
+    for module, names in fhc._MODULES.items():
+        for name in names.split():
+            assert getattr(fhc, name) is getattr(sys.modules[f"fhc.{module}"], name), name
+    with pytest.raises(AttributeError, match="has no attribute 'nonesuch'"):
+        fhc.nonesuch
