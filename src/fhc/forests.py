@@ -5,12 +5,10 @@ from some preorder.  Forest ``A`` lies below forest ``B`` when some monotone
 map of node posets sends every node of ``A`` to a node of ``B`` with a larger
 or equal label.  This module decides that order two independent ways (a
 structural recursion and a brute-force search over node maps), minimizes
-forests within their equivalence class, and provides the join and sequential
-product that make the quotient a semilattice.
+forests within their equivalence class, and provides the sequential product.
 
-All but ``join`` run on any trees with ``label``/``children`` (and
-``with_children``) in any forests with ``trees`` (and ``with_trees``):
-``LTree`` and ``ITree``.
+The core runs on the iterated ``ITree``/``IForest`` over any label preorder:
+a k-labeled forest is a level-1 iterated forest, colors under equality.
 """
 
 from __future__ import annotations
@@ -93,57 +91,6 @@ class LabelPreorder(Record):
 ANTICHAIN = LabelPreorder(lambda a, b: a == b, "antichain")
 
 
-class LTree(Record):
-    """A finite rooted tree with a label at every node.
-
-    Child order is stored but carries no meaning for the embedding order;
-    canonicalization may reorder children freely.
-    """
-
-    __slots__ = ("label", "children", "_hash")
-
-    def __init__(self, label: Any, children: tuple["LTree", ...] = ()) -> None:
-        self._set(label, children, hash((label, children)))
-
-    @property
-    def size(self) -> int:
-        return 1 + sum(c.size for c in self.children)
-
-    def with_children(self, children: tuple["LTree", ...]) -> "LTree":
-        return LTree(self.label, children)
-
-
-class LForest(Record):
-    """A finite sequence of trees; the empty forest is the bottom element."""
-
-    __slots__ = ("trees", "_hash")
-
-    def __init__(self, trees: tuple[LTree, ...] = ()) -> None:
-        self._set(trees, hash(trees))
-
-    @property
-    def size(self) -> int:
-        return sum(t.size for t in self.trees)
-
-    def is_empty(self) -> bool:
-        return not self.trees
-
-    def with_trees(self, trees: tuple[LTree, ...]) -> "LForest":
-        return LForest(trees)
-
-
-def tree(label: Any, *children: LTree) -> LTree:
-    return LTree(label, tuple(children))
-
-
-def forest(*trees: LTree) -> LForest:
-    return LForest(tuple(trees))
-
-
-def singleton(label: Any) -> LForest:
-    return LForest((LTree(label),))
-
-
 # ---------------------------------------------------------------------------
 # The embedding order, decided by structural recursion.
 
@@ -201,16 +148,13 @@ def _flatten(f) -> tuple[list[Any], list[int]]:
     """Preorder node labels and parent indices (-1 for roots of trees)."""
     labels: list[Any] = []
     parents: list[int] = []
-
-    def walk(t, parent: int) -> None:
-        idx = len(labels)
+    stack = [(t, -1) for t in reversed(f.trees)]
+    while stack:
+        t, parent = stack.pop()
+        if t.children:  # t is node len(labels), parent of its children
+            stack += [(c, len(labels)) for c in reversed(t.children)]
         labels.append(t.label)
         parents.append(parent)
-        for c in t.children:
-            walk(c, idx)
-
-    for t in f.trees:
-        walk(t, -1)
     return labels, parents
 
 
@@ -247,24 +191,22 @@ def h_leq_oracle(a, b, q: LabelPreorder, bound: int | None = None) -> bool:
             j = b_parents[j]
         return False
 
-    image = [-1] * len(a_labels)
-
-    def assign(i: int) -> bool:
-        if i == len(a_labels):
-            return True
-        p = a_parents[i]
-        for j in range(len(b_labels)):
-            if not q.leq(a_labels[i], b_labels[j]):
-                continue
-            if p != -1 and not below(image[p], j):
-                continue
-            image[i] = j
-            if assign(i + 1):
-                return True
-        image[i] = -1
-        return False
-
-    return assign(0)
+    # depth-first over a's nodes in preorder, without recursion: node i moves
+    # from its image (-1 before the first) to the next that respects its label
+    # and its parent's image or, with none left, backs up to node i - 1
+    n, m, leq = len(a_labels), len(b_labels), q.leq
+    image, i = [-1] * n, 0
+    while 0 <= i < n:
+        label, p = a_labels[i], a_parents[i]
+        for j in range(image[i] + 1, m):
+            if leq(label, b_labels[j]) and (p == -1 or below(image[p], j)):
+                image[i] = j
+                i += 1
+                break
+        else:
+            image[i] = -1
+            i -= 1
+    return i == n
 
 
 # ---------------------------------------------------------------------------
@@ -335,12 +277,7 @@ def canonical_decomposition(f, q: LabelPreorder) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Semilattice operations.
-
-def join(f: LForest, g: LForest) -> LForest:
-    """Concatenation of tree sequences; the supremum in the quotient."""
-    return LForest(f.trees + g.trees)
-
+# The sequential product.
 
 def seq_product(f, g):
     """Put a copy of ``g`` above every leaf of ``f``.

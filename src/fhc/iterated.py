@@ -365,7 +365,7 @@ def _forests(
         built += n
         if bound is not None and built > bound:
             raise SegmentBoundError(
-                f"segment too large: more than {bound} trees and forests"
+                f"segment too large: at least {built} trees and forests"
                 f" exceed the bound {bound}")
         return item
 

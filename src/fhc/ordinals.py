@@ -214,6 +214,15 @@ def build_t(alpha: Ordinal, i: int, n: int, k: int) -> IForest:
                 # col (successor) or the last power, stacked over the join of
                 # all lower levels
                 check_grade(grade)
+                # the lower levels down the chain of peels (a successor's finite
+                # tail, say), built bottom-up in the order the calls below
+                # would build them, but without a frame a step
+                lower, b = [], beta
+                while not (b.is_zero() or (b, 0, grade) in memo):
+                    lower.append(b)
+                    b = peel_last(b)[0]
+                for b in reversed(lower):
+                    rec(b, 0, grade)
                 first = rec(beta, 0, grade)
                 head = (iterated.color_forest(col) if gamma.is_zero()
                         else rec(omega_pow(gamma), col, grade))

@@ -8,23 +8,16 @@ from itertools import permutations
 from operator import and_, or_
 
 from fhc import forests, iterated
-from fhc.forests import LForest, LTree
 
 
-def all_lforests(k: int, max_nodes: int) -> list[LForest]:
-    """Every canonical forest with at most ``max_nodes`` nodes, incl. empty.
-
-    The level-1 forests of ``iterated.enumerate_forests``, colors read as ints.
-    """
+def all_lforests(k: int, max_nodes: int) -> list[iterated.IForest]:
+    """Every canonical k-labeled forest with at most ``max_nodes`` nodes, incl.
+    empty: the level-1 forests of ``iterated.enumerate_forests`` and its empty
+    forest, which sits at level 0."""
     return [
-        LForest(tuple(_ltree(t) for t in f.trees))
-        for f in iterated.enumerate_forests(k, max_nodes, 1)
+        f for f in iterated.enumerate_forests(k, max_nodes, 1)
         if f.level == 1 or f.is_empty()
     ]
-
-
-def _ltree(t: iterated.ITree) -> LTree:
-    return LTree(t.label.label, tuple(_ltree(c) for c in t.children))
 
 
 def random_iforest(

@@ -303,6 +303,16 @@ class TestExitCodes:
             "error: build-T too large: at least 1398101 nodes"
             " exceed the bound 1000000\n"))
 
+    @pytest.mark.parametrize("alpha, least", [
+        ("990", 1048575), ("w^990", 1048575), ("w*990", 1572861),
+    ])
+    def test_build_t_long_chain_guard(self, capsys, alpha, least):
+        # the lower levels down a chain of peels are built from the bottom up,
+        # so a long chain meets the size guard, not the recursion limit
+        assert main(["build-T", alpha, "0"]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: build-T too large: at least {least} nodes exceed the bound 1000000\n"))
+
     def test_build_t_alphabet_guard(self, capsys):
         # a nonzero level index stacks a color over all k colors: refused
         # before the k colors are built
@@ -428,10 +438,10 @@ class TestSegmentBounds:
         assert int(proc.stderr) < 100 * 1024  # kB
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
-    @pytest.mark.parametrize("k, nodes, level", [
-        (300, 2, 1), (10**12, 1, 0), (10**4, 2, 0),
+    @pytest.mark.parametrize("k, nodes, level, built", [
+        (300, 2, 1, 50001), (10**12, 1, 0, 10**12), (10**4, 2, 0, 50001),
     ], ids=["k300-n2-l1", "huge-k", "k10000-n2-l0"])
-    def test_costly_segment_refused_at_once(self, k, nodes, level):
+    def test_costly_segment_refused_at_once(self, k, nodes, level, built):
         # the generator counts what it builds and stops at the first item past
         # the bound: the k colors before building them, a multiset as it is made
         start = time.perf_counter()
@@ -445,7 +455,8 @@ class TestSegmentBounds:
         assert proc.stdout == ""
         err, hwm = proc.stderr.splitlines()
         assert err == (
-            "error: segment too large: more than 50000 trees and forests exceed the bound 50000")
+            f"error: segment too large: at least {built} trees and forests"
+            " exceed the bound 50000")
         assert int(hwm) < 100 * 1024  # kB
 
 
@@ -469,8 +480,12 @@ class TestDeepInput:
         (("jump-height", "G(0,1," * 500 + "0" + ")" * 500), "500\n"),
         (("cmp", "[0:" * 299 + "[1]" + "]" * 299, "[0:" * 299 + "[0]" + "]" * 299), ">\n"),
         (("cmp", "[1:" + "[0:" * 1498 + "[0]" + "]" * 1499, "{0}", "--n", "1"), ">\n"),
+        # the map search walks both forests and its maps on its own stacks
+        (("cmp", "{0}", "{" + "[0:" * 1499 + "[1]" + "]" * 1499 + "}", "--oracle"), "<\n"),
+        (("cmp", "{" + "[0:" * 1499 + "[1]" + "]" * 1499 + "}", "{0}", "--oracle"), ">\n"),
     ], ids=["cmp-330-chain-bottom", "cmp-bottom-330-chain", "jump-height-500-G",
-            "cmp-300-chains", "cmp-n1-1500-chain"])
+            "cmp-300-chains", "cmp-n1-1500-chain", "cmp-oracle-color-1500-chain",
+            "cmp-oracle-1500-chain-color"])
     def test_text_output_prints_no_operand(self, argv, out):
         # only JSON output prints the operands, so text output answers deep
         # input that no layer but the operands' printer recurses through

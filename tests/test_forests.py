@@ -1,4 +1,5 @@
-"""Embedding order, oracle agreement, minimization, and semilattice laws."""
+"""Embedding order, oracle agreement, minimization, and semilattice laws,
+on k-labeled forests: the level-1 iterated forests, colors under equality."""
 
 from __future__ import annotations
 
@@ -10,37 +11,53 @@ from hypothesis import given, settings, strategies as st
 from fhc.forests import (
     ANTICHAIN,
     LabelPreorder,
-    LForest,
-    LTree,
     OracleBoundError,
     canonical_decomposition,
-    forest,
     h_equiv,
     h_leq,
     h_leq_oracle,
     is_join_irreducible,
-    join,
     minimize,
     seq_product,
+)
+from fhc.iterated import (
+    IForest,
+    ITree,
+    colim_leq,
+    color,
+    iforest,
+    iminimize,
+    itree,
+    join,
     singleton,
-    tree,
 )
 from conftest import all_lforests, h_leq_rows
 
-CHAIN01 = forest(tree(0, tree(1)))
-CHAIN10 = forest(tree(1, tree(0)))
-TWO = forest(tree(0), tree(1))
 
-#: labels ordered 0 < 1 < 2 (a total order, unlike the default antichain)
-TOTAL = LabelPreorder(lambda a, b: a <= b, "chain")
+def tree(i: int, *children: ITree) -> ITree:
+    """The level-1 tree with color ``i`` at its root over ``children``."""
+    return itree(color(i), *children)
+
+
+def single(i: int) -> IForest:
+    return singleton(tree(i))
+
+
+#: the empty forest, as ``all_lforests`` yields it
+EMPTY = IForest(0)
+CHAIN01 = iforest(tree(0, tree(1)))
+TWO = iforest(tree(0), tree(1))
+
+#: colors ordered 0 < 1 < 2 (a total order, unlike the default antichain)
+TOTAL = LabelPreorder(lambda a, b: a.label <= b.label, "chain")
 
 
 def ltrees(max_nodes=3, labels=2):
-    label = st.integers(0, labels - 1)
+    label = st.integers(0, labels - 1).map(color)
     return st.recursive(
-        label.map(lambda i: tree(i)),
+        label.map(lambda c: ITree(1, c)),
         lambda kids: st.tuples(label, st.lists(kids, max_size=max_nodes - 1)).map(
-            lambda lc: LTree(lc[0], tuple(lc[1]))
+            lambda lc: ITree(1, lc[0], tuple(lc[1]))
         ),
         max_leaves=max_nodes,
     )
@@ -48,16 +65,16 @@ def ltrees(max_nodes=3, labels=2):
 
 def lforests(max_trees=3, **kw):
     return st.lists(ltrees(**kw), max_size=max_trees).map(
-        lambda ts: LForest(tuple(ts))
+        lambda ts: IForest(1, tuple(ts))
     )
 
 
 class TestHLeq:
     def test_singleton_reflexive(self):
-        assert h_leq(singleton(0), singleton(0), ANTICHAIN)
+        assert h_leq(single(0), single(0), ANTICHAIN)
 
     def test_singleton_antichain(self):
-        assert not h_leq(singleton(0), singleton(1), ANTICHAIN)
+        assert not h_leq(single(0), single(1), ANTICHAIN)
 
     def test_chain_vs_two_singletons(self):
         # expected values confirmed by the definitional oracle below
@@ -67,17 +84,16 @@ class TestHLeq:
         assert h_leq(TWO, CHAIN01, ANTICHAIN)
 
     def test_empty_forest_is_bottom(self):
-        empty = LForest(())
-        assert h_leq(empty, CHAIN01, ANTICHAIN)
-        assert h_leq(empty, empty, ANTICHAIN)
-        assert not h_leq(CHAIN01, empty, ANTICHAIN)
+        assert h_leq(EMPTY, CHAIN01, ANTICHAIN)
+        assert h_leq(EMPTY, EMPTY, ANTICHAIN)
+        assert not h_leq(CHAIN01, EMPTY, ANTICHAIN)
 
     @pytest.mark.parametrize("q", [ANTICHAIN, TOTAL], ids=["antichain", "chain"])
     def test_rows_match_pairwise(self, q):
         # the reference rows that the segment order table is checked against;
         # the family repeats trees across forests and holds equivalent
         # forests, which must carry each other's bits
-        fs = all_lforests(2, 3) + [join(TWO, TWO), LForest(())]
+        fs = all_lforests(2, 3) + [join(TWO, TWO), EMPTY]
         expected = [
             sum(1 << j for j, b in enumerate(fs) if h_leq(a, b, q)) for a in fs
         ]
@@ -85,20 +101,30 @@ class TestHLeq:
         assert h_leq_rows([], q) == []
 
 
+def test_k_labeled_order_is_the_level_1_order():
+    # a k-labeled forest is a level-1 iterated forest: the paper's order and
+    # minimization over labels under equality are the iterated ones
+    fs = all_lforests(3, 3)
+    for a, b in itertools.product(fs, fs):
+        assert h_leq(a, b, ANTICHAIN) == colim_leq(a, b), (a, b)
+    for f in fs:
+        assert minimize(f, ANTICHAIN) == iminimize(f), f
+
+
 class TestOracle:
     def test_agrees_on_reference_cases(self):
-        for a, b in [(singleton(0), singleton(0)), (singleton(0), singleton(1)),
+        for a, b in [(single(0), single(0)), (single(0), single(1)),
                      (CHAIN01, TWO), (TWO, CHAIN01)]:
             assert h_leq_oracle(a, b, ANTICHAIN) == h_leq(a, b, ANTICHAIN)
 
     def test_empty_source_maps_trivially(self):
-        assert h_leq_oracle(LForest(()), TWO, ANTICHAIN)
+        assert h_leq_oracle(EMPTY, TWO, ANTICHAIN)
 
     def test_duplicate_trees_collapse(self):
-        assert h_leq_oracle(forest(tree(0), tree(0)), singleton(0), ANTICHAIN)
+        assert h_leq_oracle(iforest(tree(0), tree(0)), single(0), ANTICHAIN)
 
     def test_bound_guard(self):
-        big = forest(*[tree(0, tree(0), tree(0)) for _ in range(4)])
+        big = iforest(*[tree(0, tree(0), tree(0)) for _ in range(4)])
         with pytest.raises(OracleBoundError):
             h_leq_oracle(big, big, ANTICHAIN, bound=10)
 
@@ -139,13 +165,13 @@ def test_h_leq_matches_oracle(a, b):
 
 class TestMinimize:
     def test_duplicate_tree_deleted(self):
-        assert minimize(forest(tree(0), tree(0)), ANTICHAIN) == singleton(0)
+        assert minimize(iforest(tree(0), tree(0)), ANTICHAIN) == single(0)
 
     def test_branching_tree_becomes_chain(self):
-        got = minimize(forest(tree(0, tree(0), tree(1))), ANTICHAIN)
+        got = minimize(iforest(tree(0, tree(0), tree(1))), ANTICHAIN)
         assert got == CHAIN01
         # brute force: no equivalent forest with fewer nodes exists
-        src = forest(tree(0, tree(0), tree(1)))
+        src = iforest(tree(0, tree(0), tree(1)))
         for other in all_lforests(2, 1):
             assert not (
                 h_leq_oracle(src, other, ANTICHAIN)
@@ -154,21 +180,21 @@ class TestMinimize:
 
     def test_singleton_fixed(self):
         for i in range(3):
-            assert minimize(singleton(i), ANTICHAIN) == singleton(i)
+            assert minimize(single(i), ANTICHAIN) == single(i)
 
     def test_root_below_single_child_dropped(self):
         # over the total order 0 < 1, the chain 0->1 collapses to {1}
-        assert minimize(CHAIN01, TOTAL) == singleton(1)
+        assert minimize(CHAIN01, TOTAL) == single(1)
 
     def test_path_through_root_label_spliced(self):
         # 0 -> 0 -> 1 keeps only one 0 on the path
-        got = minimize(forest(tree(0, tree(0, tree(1)))), ANTICHAIN)
+        got = minimize(iforest(tree(0, tree(0, tree(1)))), ANTICHAIN)
         assert got == CHAIN01
 
 
 def test_minimize_is_optimal_exhaustively():
     fs = all_lforests(2, 4)
-    by_size: dict[int, list[LForest]] = {}
+    by_size: dict[int, list[IForest]] = {}
     for f in fs:
         by_size.setdefault(f.size, []).append(f)
     for f in fs:
@@ -181,7 +207,7 @@ def test_minimize_is_optimal_exhaustively():
 
 def test_minimize_is_optimal_three_colors():
     fs = all_lforests(3, 3)
-    by_size: dict[int, list[LForest]] = {}
+    by_size: dict[int, list[IForest]] = {}
     for f in fs:
         by_size.setdefault(f.size, []).append(f)
     for f in fs:
@@ -212,23 +238,23 @@ def test_minimize_properties(f):
         if len(t.children) == 1:
             assert not ANTICHAIN.leq(t.label, t.children[0].label)
     for a, b in itertools.combinations(m.trees, 2):
-        assert not h_leq(forest(a), forest(b), ANTICHAIN)
-        assert not h_leq(forest(b), forest(a), ANTICHAIN)
+        assert not h_leq(singleton(a), singleton(b), ANTICHAIN)
+        assert not h_leq(singleton(b), singleton(a), ANTICHAIN)
 
 
 class TestJoinIrreducible:
     def test_singleton(self):
-        assert is_join_irreducible(singleton(0), ANTICHAIN)
+        assert is_join_irreducible(single(0), ANTICHAIN)
 
     def test_two_singletons(self):
         assert not is_join_irreducible(TWO, ANTICHAIN)
 
     def test_branching_tree(self):
-        assert is_join_irreducible(forest(tree(0, tree(0), tree(1))), ANTICHAIN)
+        assert is_join_irreducible(iforest(tree(0, tree(0), tree(1))), ANTICHAIN)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="bottom"):
-            is_join_irreducible(LForest(()), ANTICHAIN)
+            is_join_irreducible(EMPTY, ANTICHAIN)
 
 
 class TestDecomposition:
@@ -236,27 +262,27 @@ class TestDecomposition:
         assert canonical_decomposition(TWO, ANTICHAIN) == (tree(0), tree(1))
 
     def test_duplicate_removed(self):
-        got = canonical_decomposition(forest(tree(0), tree(0), tree(1)), ANTICHAIN)
+        got = canonical_decomposition(iforest(tree(0), tree(0), tree(1)), ANTICHAIN)
         assert got == (tree(0), tree(1))
 
     def test_minimal_tree_is_its_own_component(self):
         assert canonical_decomposition(CHAIN01, ANTICHAIN) == CHAIN01.trees
 
     def test_empty_forest_empty_family(self):
-        assert canonical_decomposition(LForest(()), ANTICHAIN) == ()
+        assert canonical_decomposition(EMPTY, ANTICHAIN) == ()
 
 
 class TestJoin:
     def test_concatenation(self):
-        assert join(singleton(0), singleton(1)) == TWO
+        assert join(single(0), single(1)) == TWO
 
     def test_bottom_neutral(self):
-        assert join(CHAIN01, LForest(())) == CHAIN01
+        assert join(CHAIN01, EMPTY) == CHAIN01
 
     def test_idempotent_up_to_equivalence(self):
-        j = join(singleton(0), singleton(0))
-        assert j == forest(tree(0), tree(0))
-        assert h_equiv(j, singleton(0), ANTICHAIN)
+        j = join(single(0), single(0))
+        assert j == iforest(tree(0), tree(0))
+        assert h_equiv(j, single(0), ANTICHAIN)
 
 
 def test_join_is_least_upper_bound():
@@ -281,23 +307,23 @@ def test_join_irreducible_distributes():
 
 class TestSeqProduct:
     def test_single_leaf(self):
-        assert seq_product(singleton(0), singleton(1)) == CHAIN01
+        assert seq_product(single(0), single(1)) == CHAIN01
 
     def test_associative_on_chains(self):
-        left = seq_product(seq_product(singleton(0), singleton(1)), singleton(0))
-        right = seq_product(singleton(0), seq_product(singleton(1), singleton(0)))
-        expected = forest(tree(0, tree(1, tree(0))))
+        left = seq_product(seq_product(single(0), single(1)), single(0))
+        right = seq_product(single(0), seq_product(single(1), single(0)))
+        expected = iforest(tree(0, tree(1, tree(0))))
         assert left == expected and right == expected
 
     def test_copies_above_every_leaf(self):
-        got = seq_product(TWO, singleton(0))
-        assert got == forest(tree(0, tree(0)), tree(1, tree(0)))
+        got = seq_product(TWO, single(0))
+        assert got == iforest(tree(0, tree(0)), tree(1, tree(0)))
 
     def test_empty_left_returns_right(self):
-        assert seq_product(LForest(()), TWO) == TWO
+        assert seq_product(EMPTY, TWO) == TWO
 
     def test_empty_right_returns_left(self):
-        assert seq_product(TWO, LForest(())) == TWO
+        assert seq_product(TWO, EMPTY) == TWO
 
 
 @settings(max_examples=100, deadline=None)

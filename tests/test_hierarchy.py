@@ -185,7 +185,7 @@ class TestSegments:
         with pytest.raises(SegmentBoundError) as exc:
             enumerate_segment(2, 5, 2, bound=540)
         assert str(exc.value) == (
-            "segment too large: more than 540 trees and forests exceed the bound 540")
+            "segment too large: at least 541 trees and forests exceed the bound 540")
 
     def test_wide_alphabet_answers_quickly(self):
         # every color labels itself in the order table: the table walks the

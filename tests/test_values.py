@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from fhc.forests import LabelPreorder, LForest, LTree
+from fhc.forests import LabelPreorder
 from fhc.hierarchy import LevelDescriptor, QuotientSegment
 from fhc.iterated import IForest, color, itree
 from fhc.ordinals import ONE, ZERO, Ordinal, ord_compare, parse_ordinal
@@ -25,9 +25,6 @@ C0, C1 = color(0), color(1)
 #: (class, positional arguments, repr as the dataclasses printed it)
 VALUES = [
     (LabelPreorder, (operator.le, "le"), "LabelPreorder(le)"),
-    (LTree, (1, (LTree(0),)), "LTree(label=1, children=(LTree(label=0, children=()),))"),
-    (LForest, ((LTree(0), LTree(1)),),
-     "LForest(trees=(LTree(label=0, children=()), LTree(label=1, children=())))"),
     (IForest, (0, ()), "IForest(level=0, trees=())"),
     (Const, (0,), "Const(color=0)"),
     (Join, (Const(0), Const(1)), "Join(left=Const(color=0), right=Const(color=1))"),
@@ -83,8 +80,8 @@ class TestValueClass:
 
 
 @pytest.mark.parametrize("cls, args", [
-    (LTree, (0,)), (LForest, ()), (IForest, (2,)), (Ordinal, ()),
-], ids=["LTree", "LForest", "IForest", "Ordinal"])
+    (IForest, (2,)), (Ordinal, ()),
+], ids=["IForest", "Ordinal"])
 def test_defaults(cls, args):
     assert cls(*args) == cls(*args, ())
 
