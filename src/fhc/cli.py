@@ -14,11 +14,10 @@ import re
 import sys
 from types import SimpleNamespace
 
-# a submodule runs when first read: hierarchy, ordinals and terms in their handlers
-from . import hierarchy, iterated, ordinals, terms
+# a submodule runs when first read: hierarchy, notation, ordinals and terms in handlers
+from . import hierarchy, iterated, notation, ordinals, terms
 from .forests import OracleBoundError
 from .iterated import IForest, SegmentBoundError
-from .notation import parse_forest, parse_term, serialize_forest, serialize_term, serialize_tree
 
 
 class UsageError(ValueError):
@@ -170,7 +169,7 @@ def _alphabet(args) -> int | None:
 def _parse_sterm(text: str):
     # a parsed term uses G exactly when its text holds a "G", and a graded
     # product exactly when it holds a "."
-    u = parse_term(text)
+    u = notation.parse_term(text)
     return terms.g_to_s(u) if "G" in text else u
 
 
@@ -182,8 +181,8 @@ def _check_term_colors(u, k: int | None) -> None:
 
 def _cmd_cmp(args) -> tuple:
     k = _alphabet(args)
-    a = parse_forest(args.forest, k)
-    b = parse_forest(args.forest1, k)
+    a = notation.parse_forest(args.forest, k)
+    b = notation.parse_forest(args.forest1, k)
     leq = iterated.colim_leq_oracle if args.oracle else iterated.colim_leq
     fwd, bwd = leq(a, b, args.n), leq(b, a, args.n)
     verdict = {(True, True): "=", (True, False): "<",
@@ -192,42 +191,42 @@ def _cmd_cmp(args) -> tuple:
 
 
 def _cmd_min(args) -> tuple:
-    f = parse_forest(args.forest, _alphabet(args))
-    return serialize_forest(iterated.representative(f)), f, None
+    f = notation.parse_forest(args.forest, _alphabet(args))
+    return notation.serialize_forest(iterated.representative(f)), f, None
 
 
 def _cmd_decompose(args) -> tuple:
-    f = parse_forest(args.forest, _alphabet(args))
-    return "\n".join(serialize_tree(t) for t in iterated.iminimize(f).trees), f, None
+    f = notation.parse_forest(args.forest, _alphabet(args))
+    return "\n".join(notation.serialize_tree(t) for t in iterated.iminimize(f).trees), f, None
 
 
 def _cmd_encode(args) -> tuple:
-    f = parse_forest(args.forest, _alphabet(args))
-    return serialize_term(terms.encode(f, args.n)), f, None
+    f = notation.parse_forest(args.forest, _alphabet(args))
+    return notation.serialize_term(terms.encode(f, args.n)), f, None
 
 
 def _cmd_eval(args) -> tuple:
     u = _parse_sterm(args.term)
     _check_term_colors(u, _alphabet(args))
-    return serialize_forest(terms.interpret(u)), u, None
+    return notation.serialize_forest(terms.interpret(u)), u, None
 
 
 def _cmd_g2s(args) -> tuple:
-    u = parse_term(args.term)
+    u = notation.parse_term(args.term)
     if "." in args.term:
         raise ValueError("g2s expects a G-signature term")
-    return serialize_term(terms.g_to_s(u)), u, None
+    return notation.serialize_term(terms.g_to_s(u)), u, None
 
 
 def _cmd_s2g(args) -> tuple:
-    u = parse_term(args.term)
+    u = notation.parse_term(args.term)
     if "G" in args.term:
         raise ValueError("s2g expects a star-signature term")
-    return serialize_term(terms.s_to_g(u)), u, None
+    return notation.serialize_term(terms.s_to_g(u)), u, None
 
 
 def _cmd_jump_height(args) -> tuple:
-    u = parse_term(args.term)
+    u = notation.parse_term(args.term)
     if "." in args.term:
         u = terms.s_to_g(u)
     return str(terms.jump_height(u)), u, None
@@ -237,25 +236,25 @@ def _cmd_normalize(args) -> tuple:
     u = _parse_sterm(args.term)
     out = (terms.restrict_level(u, args.n) if args.m is None
            else terms.window_normalize(u, args.n, args.m))
-    return serialize_term(out), u, None
+    return notation.serialize_term(out), u, None
 
 
 def _cmd_level_subset(args) -> tuple:
     k = _alphabet(args)
-    t = hierarchy.LevelDescriptor(parse_forest(args.forest, k))
-    v = hierarchy.LevelDescriptor(parse_forest(args.forest1, k))
+    t = hierarchy.LevelDescriptor(notation.parse_forest(args.forest, k))
+    v = hierarchy.LevelDescriptor(notation.parse_forest(args.forest1, k))
     return hierarchy.level_relation(t, v), t.forest, v.forest
 
 
 def _cmd_witness(args) -> tuple:
-    t = hierarchy.LevelDescriptor(parse_forest(args.forest, _alphabet(args)))
-    return serialize_term(hierarchy.complete_witness(t, args.n)), t.forest, None
+    t = hierarchy.LevelDescriptor(notation.parse_forest(args.forest, _alphabet(args)))
+    return notation.serialize_term(hierarchy.complete_witness(t, args.n)), t.forest, None
 
 
 def _cmd_build_t(args) -> tuple:
     alpha = ordinals.parse_ordinal(args.ordinal)
     f = ordinals.build_t(alpha, args.color, args.n, args.k)
-    return serialize_forest(f), ordinals.format_ordinal(alpha), str(args.color)
+    return notation.serialize_forest(f), ordinals.format_ordinal(alpha), str(args.color)
 
 
 def _cmd_segment(args) -> tuple:
@@ -267,8 +266,8 @@ def _cmd_segment(args) -> tuple:
 def _echo(operand):
     """An operand's JSON text: a forest or a term prints canonically."""
     if isinstance(operand, IForest):
-        return serialize_forest(operand)
-    return operand if operand is None or isinstance(operand, str) else serialize_term(operand)
+        return notation.serialize_forest(operand)
+    return operand if isinstance(operand, (str, type(None))) else notation.serialize_term(operand)
 
 
 def _render(result: tuple, args) -> str:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import reduce
 from operator import and_
 
-from . import iterated, notation, terms
+from . import iterated, terms
 from .forests import Record
 from .iterated import IForest, SegmentBoundError
 
@@ -189,7 +189,7 @@ def hasse_dot(seg: QuotientSegment) -> str:
     """The segment as a DOT digraph, one node per class, one edge per cover."""
     lines = ["digraph segment {", "  rankdir=BT;"]
     for idx, rep in enumerate(seg.classes):
-        lines.append(f'  n{idx} [label="{notation.serialize_forest(rep)}"];')
+        lines.append(f'  n{idx} [label="{iterated.serialize_forest(rep)}"];')
     for lo, hi in sorted(seg.covers):
         lines.append(f"  n{lo} -> n{hi};")
     lines.append("}")
@@ -201,7 +201,7 @@ def hasse_dot(seg: QuotientSegment) -> str:
 
 def write_segment(seg: QuotientSegment) -> str:
     lines = [f"fhc-segment v1 k={seg.k} nodes={seg.max_nodes} level={seg.max_level}"]
-    lines.extend(notation.serialize_forest(rep) for rep in seg.classes)
+    lines.extend(iterated.serialize_forest(rep) for rep in seg.classes)
     lines.append("covers:")
     lines.extend(f"{lo} {hi}" for lo, hi in sorted(seg.covers))
     return "\n".join(lines) + "\n"

@@ -15,11 +15,11 @@ node labels a level down), the derived preorders ``<=^n`` that compare
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
-from itertools import chain, permutations
+import weakref
+from functools import cache, lru_cache, partial
+from itertools import chain, permutations, starmap
 from operator import attrgetter
 from typing import Callable
-from weakref import WeakValueDictionary
 
 from . import forests
 from .forests import LabelPreorder, Record
@@ -38,35 +38,44 @@ class ITree:
     identity.  ``size`` counts the color occurrences through all nestings;
     ``sort_key`` orders trees structurally, children as a sorted multiset;
     ``floor`` is the lowest level that lifting could have built the tree from
-    (a leaf whose label comes from a color comes from that color).
+    (a leaf whose label comes from a color comes from that color).  The
+    canonical form is kept on the tree once ``canonical_tree`` has built it.
     """
 
-    __slots__ = ("level", "label", "children", "size", "sort_key", "floor", "__weakref__")
+    __slots__ = ("level", "label", "children", "size", "sort_key", "floor", "_canon", "__weakref__")
 
     def __new__(cls, level: int, label: "int | ITree", children: tuple["ITree", ...] = ()):
+        if level == 0 and not (isinstance(label, int) and label >= 0):
+            # before the lookup, which would find color 1 for the label 1.0
+            raise ValueError("level-0 tree must be labeled by a color")
+        key = (level, label, children)
+        t = (ref := _INTERNED.get(key)) and ref()
+        if t is not None:
+            return t  # an interned key was checked when its tree was built
         if level == 0:
-            if not isinstance(label, int) or label < 0:
-                raise ValueError("level-0 tree must be labeled by a color")
             if children:
                 raise ValueError("level-0 tree has no children")
+            size, sort_key, floor = 1, (0, label), 0
         elif not isinstance(label, ITree) or label.level != level - 1:
             raise ValueError(f"level-{level} tree needs a level-{level - 1} label")
         elif any(c.level != level for c in children):
             raise ValueError("children must sit at the parent's level")
-        key = (level, label, children)
-        t = _INTERNED.get(key)
-        if t is None:
-            if level == 0:
-                size, sort_key, floor = 1, (0, label), 0
-            else:
-                size = label.size + sum(c.size for c in children)
-                sort_key = (1, label.sort_key, tuple(sorted(c.sort_key for c in children)))
-                floor = 0  # a leaf over a lifted color comes from that color
-                if children or label.floor:
-                    floor = max((label.floor + 1, *(c.floor for c in children)))
-            t = _INTERNED[key] = object.__new__(cls)
-            for name, value in zip(cls.__slots__, (*key, size, sort_key, floor)):
-                object.__setattr__(t, name, value)
+        else:
+            size = label.size + sum(c.size for c in children)
+            sort_key = (1, label.sort_key, tuple(sorted(c.sort_key for c in children)))
+            floor = 0  # a leaf over a lifted color comes from that color
+            if children or label.floor:
+                floor = max((label.floor + 1, *(c.floor for c in children)))
+        t = object.__new__(cls)
+        _set(t, "level", level)
+        _set(t, "label", label)
+        _set(t, "children", children)
+        _set(t, "size", size)
+        _set(t, "sort_key", sort_key)
+        _set(t, "floor", floor)
+        # a color, or a leaf over one, is canonical; other forms are built on demand
+        _set(t, "_canon", None if level < 2 and not children else _UNBUILT)
+        _INTERNED[key] = weakref.KeyedRef(t, _forget, key)
         return t
 
     def __setattr__(self, name: str, value) -> None:
@@ -83,8 +92,16 @@ class ITree:
         return ITree(self.level, self.label, children)
 
 
-#: every live tree by ``(level, label, children)``; entries die with their tree
-_INTERNED: "WeakValueDictionary[tuple, ITree]" = WeakValueDictionary()
+def _forget(ref: weakref.KeyedRef) -> None:
+    # the tree died: drop its entry, unless a new tree took the key since
+    if _INTERNED.get(ref.key) is ref:
+        del _INTERNED[ref.key]
+
+
+#: every live tree's weak reference by ``(level, label, children)``
+_INTERNED: dict[tuple, weakref.KeyedRef] = {}
+_set = object.__setattr__
+_UNBUILT = object()  # the canonical form of a tree before it is asked for
 _SORT_KEY = attrgetter("sort_key")
 
 
@@ -298,23 +315,45 @@ def canonical(f: IForest) -> IForest:
     """Reorder children and trees by a structural key; class-preserving.
 
     Empty forests come out at level 0: they all denote the bottom class and
-    the text form carries no level.
+    the text form carries no level.  A forest already canonical comes back.
     """
     if f.is_empty():
-        return IForest(0)
-    return IForest(f.level, tuple(sorted(
-        (canonical_tree(t) for t in f.trees), key=_SORT_KEY
-    )))
+        return IForest(0) if f.level else f
+    trees = tuple(sorted(map(canonical_tree, f.trees), key=_SORT_KEY))
+    return f if trees == f.trees else IForest(f.level, trees)
 
 
 def canonical_tree(t: ITree) -> ITree:
+    """``t`` with all children in ``sort_key`` order: built once per tree and
+    kept on it, as None on a canonical tree, which may not refer to itself."""
+    form = t._canon
+    if form is _UNBUILT:
+        label = canonical_tree(t.label)
+        kids = tuple(sorted(map(canonical_tree, t.children), key=_SORT_KEY))
+        form = t if label is t.label and kids == t.children else ITree(t.level, label, kids)
+        _set(t, "_canon", None if form is t else form)
+        _set(form, "_canon", None)
+    return t if form is None else form
+
+
+# ---------------------------------------------------------------------------
+# Canonical text, read back by ``notation``: children and forest members in
+# ``sort_key`` order, so equal classes of minimal forests print alike, byte for byte.
+
+def serialize_tree(t: ITree) -> str:
+    return _tree_text(canonical_tree(t))
+
+
+def _tree_text(t: ITree) -> str:
     if t.level == 0:
-        return t
-    return ITree(
-        t.level,
-        canonical_tree(t.label),
-        tuple(sorted((canonical_tree(c) for c in t.children), key=_SORT_KEY)),
-    )
+        return str(t.label)
+    kids = ",".join(map(_tree_text, t.children))
+    return f"[{_tree_text(t.label)}:{kids}]" if kids else f"[{_tree_text(t.label)}]"
+
+
+def serialize_forest(f: IForest) -> str:
+    """Canonical text of a forest: sorted, braced, parseable back."""
+    return "{" + ",".join(map(_tree_text, canonical(f).trees)) + "}"
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +363,7 @@ def enumerate_forests(k: int, max_size: int, max_level: int) -> list[IForest]:
     """All canonical forests with level up to ``max_level`` and size up to
     ``max_size``, in a fixed (size-ascending) order; the empty forest first.
     """
-    return _forests(k, max_size, max_level, lambda t: True)
+    return _forests(k, max_size, max_level, lambda label, children: True)
 
 
 def minimal_forests(
@@ -338,29 +377,29 @@ def minimal_forests(
     minimal trees none of which embeds into another.  Over minimal parts the
     test is local: no child is labelled below the root or embeds into another
     child, and a root with one child is not labelled below that child's label.
-    Refuse once the colors, candidate trees and multisets built pass ``bound``.
+    Refuse once the colors, candidate trees and multisets counted pass ``bound``.
     """
-    return [
-        f for f in _forests(k, max_size, max_level, _locally_minimal, bound)
-        if not any(tree_leq0(a, b) for a, b in permutations(f.trees, 2))
-    ]
+    leq = partial(forests._tree_leq, q=LABEL_ORDER, memo={})  # one memo for the call
+
+    @cache
+    def apart(trees: tuple[ITree, ...]) -> bool:
+        return not any(starmap(leq, permutations(trees, 2)))
+
+    def minimal(label: ITree, kids: tuple[ITree, ...]) -> bool:
+        return not (any(leq(c.label, label) for c in kids) or not apart(kids)
+                    or len(kids) == 1 and leq(label, kids[0].label))
+
+    return _forests(k, max_size, max_level, minimal, bound, apart)
 
 
-def _locally_minimal(t: ITree) -> bool:
-    kids = t.children
-    return not (any(tree_leq0(c.label, t.label) for c in kids)
-                or any(tree_leq0(a, b) for a, b in permutations(kids, 2))
-                or len(kids) == 1 and tree_leq0(t.label, kids[0].label))
-
-
-def _forests(
-    k: int, max_size: int, max_level: int, keep: Callable, bound: int | None = None
-) -> list[IForest]:
-    # forests in a fixed order, of trees that pass ``keep`` built from kept parts
+def _forests(k: int, max_size: int, max_level: int, keep: Callable,
+             bound: int | None = None, apart: Callable = bool) -> list[IForest]:
+    # forests in a fixed order, of trees built from kept parts when ``keep(label,
+    # children)`` passes, whose trees pass ``apart`` (``bool`` passes all)
     built = 0
 
     def counted(item, n: int = 1):
-        # every color, candidate tree and multiset is counted as it is built
+        # every color and multiset is counted as it is built, a candidate as tested
         nonlocal built
         built += n
         if bound is not None and built > bound:
@@ -374,36 +413,41 @@ def _forests(
         # the canonical trees of exactly this size, in sort_key order
         if level == 0:  # colors are always kept
             return [color(i) for i in counted(range(k), k)] if size == 1 else []
-        return sorted(filter(keep, (
-            counted(ITree(level, label, ch))
+        return sorted((
+            ITree(level, label, ch)
             for label_size in range(1, size + 1)
             for label in trees(label_size, level - 1)
             for ch in tuples(size - label_size, level)
-        )), key=_SORT_KEY)
+            if counted(keep(label, ch))
+        ), key=_SORT_KEY)
+
+    pools: dict[int, list[ITree]] = {}  # each level's trees by ascending size
 
     @cache
     def tuples(total: int, level: int) -> list[tuple[ITree, ...]]:
         # multisets of trees with sizes summing to total, as sorted tuples
-        pool = [t for size in range(1, total + 1) for t in trees(size, level)]
+        if total > 1:
+            tuples(total - 1, level)  # which put the smaller trees in the pool
+        pool = pools.setdefault(level, [])
+        pool += trees(total, level)
         out: list[tuple[ITree, ...]] = []
 
-        def rec(start: int, remaining: int, acc: list[ITree]) -> None:
-            # one frame per distinct tree: each pool tree from ``start`` on
-            # goes in as often as fits, down to once, before the later ones
+        def rec(start: int, remaining: int, acc: tuple[ITree, ...]) -> None:
+            # one frame per distinct tree: each pool tree from ``start`` on goes in
+            # as often as fits, down to once, while what is left fits a later tree
             if remaining == 0:
-                out.append(counted(tuple(acc)))
+                out.append(counted(acc))
                 return
             for i in range(start, len(pool)):
                 t = pool[i]
                 if t.size > remaining:
                     break  # the pool ascends by size
-                most = remaining // t.size
-                acc += [t] * most
-                for m in range(most, 0, -1):
-                    rec(i + 1, remaining - m * t.size, acc)
-                    acc.pop()
+                least = pool[i + 1].size if i + 1 < len(pool) else remaining + 1
+                exact = [remaining // t.size] if remaining % t.size == 0 else []
+                for m in exact + [*range((remaining - least) // t.size, 0, -1)]:
+                    rec(i + 1, remaining - m * t.size, acc + (t,) * m)
 
-        rec(0, total, [])
+        rec(0, total, ())
         return out
 
     return [IForest(0)] + [
@@ -411,6 +455,7 @@ def _forests(
         for size in range(1, max_size + 1)
         for level in range(max_level + 1)
         for ch in tuples(size, level)
+        if apart(ch)
     ]
 
 

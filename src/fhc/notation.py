@@ -9,10 +9,6 @@ Operands at mixed nesting levels are lifted upward automatically, so
 Terms: ``(u+v)`` is the join, ``(u .p v)`` the grade-p product, and
 ``G(a,b,c)`` the mind-change combinator; a number is a constant color.
 The two product symbols select the signature and may not be mixed.
-
-Serialization is canonical: children and forest members are emitted in
-structural-key order, so equal quotient classes of minimal forests print
-identically, byte for byte.
 """
 
 from __future__ import annotations
@@ -20,7 +16,7 @@ from __future__ import annotations
 import re
 
 from . import iterated, terms
-from .iterated import IForest, ITree
+from .iterated import IForest, ITree, serialize_forest, serialize_tree  # printed in iterated
 
 
 class ParseError(ValueError):
@@ -152,25 +148,6 @@ def parse_forest(text: str, k: int | None = 2) -> IForest:
         if k is not None and t.label >= k:
             raise ValueError(f"color {t.label} outside alphabet of size {k}")
     return iterated.iforest(*stack[0]) if stack[0] else IForest(0)
-
-
-def serialize_tree(t: ITree) -> str:
-    return _tree_text(iterated.canonical_tree(t))
-
-
-def _tree_text(t: ITree) -> str:
-    if t.level == 0:
-        return str(t.label)
-    body = _tree_text(t.label)
-    if t.children:
-        return f"[{body}:{','.join(_tree_text(c) for c in t.children)}]"
-    return f"[{body}]"
-
-
-def serialize_forest(f: IForest) -> str:
-    """Canonical text of a forest: sorted, braced, parseable back."""
-    f = iterated.canonical(f)
-    return "{" + ",".join(_tree_text(t) for t in f.trees) + "}"
 
 
 # ---------------------------------------------------------------------------

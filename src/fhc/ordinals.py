@@ -224,8 +224,7 @@ def build_t(alpha: Ordinal, i: int, n: int, k: int) -> IForest:
                 for b in reversed(lower):
                     rec(b, 0, grade)
                 first = rec(beta, 0, grade)
-                head = (iterated.color_forest(col) if gamma.is_zero()
-                        else rec(omega_pow(gamma), col, grade))
+                head = rec(gamma if gamma.is_zero() else omega_pow(gamma), col, grade)
                 # the product keeps all of head and all k parts
                 _check_size(head.size + k * first.size)
                 rest = (rec(beta, j, grade) for j in range(1, k))

@@ -96,8 +96,11 @@ def is_minimal_by_minimizing(t: iterated.ITree) -> bool:
 def minimal_forests_by_minimizing(k: int, max_size: int, max_level: int) -> list:
     """Reference ``iterated.minimal_forests``: candidate trees kept by a whole
     minimization instead of the local test."""
+    def keep(label, children):
+        return is_minimal_by_minimizing(iterated.ITree(label.level + 1, label, children))
+
     return [
-        f for f in iterated._forests(k, max_size, max_level, is_minimal_by_minimizing)
+        f for f in iterated._forests(k, max_size, max_level, keep)
         if not any(iterated.tree_leq0(a, b) for a, b in permutations(f.trees, 2))
     ]
 

@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import collections
 import copy
 import dataclasses
 import gc
 import itertools
 import pickle
 import random
+import sys
 import weakref
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
-from fhc import forests
+from fhc import forests, iterated
 from fhc.iterated import (
     LABEL_ORDER,
     IForest,
@@ -90,6 +94,14 @@ def _ref_sort_key(t):
     return (1, _ref_sort_key(t.label), tuple(sorted(_ref_sort_key(c) for c in t.children)))
 
 
+def _ref_canonical_tree(t):
+    """Reference ``canonical_tree``: the plain recursion, with nothing stored."""
+    if t.level == 0:
+        return t
+    kids = sorted((_ref_canonical_tree(c) for c in t.children), key=lambda c: c.sort_key)
+    return ITree(t.level, _ref_canonical_tree(t.label), tuple(kids))
+
+
 def _all_subtrees(forests):
     """Every tree of ``forests``, with its subtrees and labels at all levels."""
     seen, stack = {}, [t for f in forests for t in f.trees]
@@ -130,12 +142,31 @@ class TestInterned:
         ((2, C0), (1, C0)),
         ((1, C0, (C1,)), (1, C0, (itree(C1),))),
         ((1, C0, (itree(itree(C1)),)), (1, C0, (itree(C1),))),
+        # like 1.0, keys equal to color 1's, which the lookup would find
+        ((0, Fraction(1)), (0, 1)),
+        ((0, Decimal(1)), (0, 1)),
     ])
     def test_ill_formed_raises_after_lookalike_exists(self, bad, lookalike):
         keep = ITree(*lookalike)
         with pytest.raises(ValueError):
             ITree(*bad)
         assert ITree(*lookalike) is keep
+
+    def test_stored_canonical_form_matches_the_recursion(self):
+        rng = random.Random(24)
+        shuffled = [random_itree(rng, 3, level, 5) for level in (1, 2, 3) for _ in range(60)]
+        assert sum(_ref_canonical_tree(t) is not t for t in shuffled) > 20  # children out of order
+        trees = _all_subtrees(enumerate_forests(3, 4, 2)) + shuffled
+        for t in trees:
+            form = canonical_tree(t)
+            assert form is _ref_canonical_tree(t)
+            assert canonical_tree(t) is form and canonical_tree(form) is form
+            assert form not in gc.get_referents(form)  # no cycle through itself
+        for f in enumerate_forests(3, 3, 2) + [IForest(3, tuple(shuffled[-3:]))]:
+            g = canonical(f)
+            assert g == IForest(f.level if f.trees else 0, tuple(sorted(
+                map(_ref_canonical_tree, f.trees), key=lambda t: t.sort_key)))
+            assert canonical(g) is g  # a canonical forest comes back
 
     @pytest.mark.parametrize("k, n, level", [(2, 4, 2), (3, 3, 2)])
     def test_size_and_sort_key_match_recursion(self, k, n, level):
@@ -166,12 +197,21 @@ class TestInterned:
             C0.size = 2
 
     def test_unreferenced_trees_are_released(self):
-        # the intern table holds its trees weakly
-        t = itree(color(12345))
-        gone = weakref.ref(t)
-        del t
-        gc.collect()
-        assert gone() is None
+        # the intern table holds its trees weakly: the last reference takes a
+        # tree's entry with it, and a stored canonical form makes no cycle, so
+        # no collection is needed
+        gc.disable()
+        try:
+            t = ITree(1, color(12345), (itree(color(12347)), itree(color(12346))))
+            form = canonical_tree(t)  # kept on t
+            keys = [(1, t.label, t.children), (1, form.label, form.children)]
+            assert form is not t and all(key in iterated._INTERNED for key in keys)
+            gone = [weakref.ref(t), weakref.ref(form)]
+            del t, form
+            assert [ref() for ref in gone] == [None, None]
+            assert not any(key in iterated._INTERNED for key in keys)
+        finally:
+            gc.enable()
 
 
 class TestLift:
@@ -591,6 +631,23 @@ class TestEnumeration:
         # over minimal label and children, three local tests decide whether a
         # whole minimization would leave a candidate tree as it is
         assert minimal_forests(k, n, level) == minimal_forests_by_minimizing(k, n, level)
+
+    def test_multisets_try_only_multiplicities_a_later_tree_completes(self):
+        # one color fills each size one way: a frame for the multiset and one
+        # for its color, with no frame for a count that no later tree completes
+        calls = collections.Counter()
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == iterated.__file__:
+                calls[frame.f_code.co_name] += 1
+
+        sys.setprofile(count)
+        try:
+            fs = minimal_forests(1, 2000, 0)
+        finally:
+            sys.setprofile(None)
+        assert [f.size for f in fs] == [0, 1]
+        assert (calls["tuples"], calls["rec"]) == (2000, 4000)
 
     def test_minimal_forests_are_a_subsequence_of_all_forests(self):
         fs = enumerate_forests(3, 4, 2)

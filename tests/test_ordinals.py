@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fhc import iterated, ordinals
-from fhc.notation import ParseError
+from fhc.notation import ParseError, serialize_forest
 from fhc.ordinals import (
     OMEGA,
     ONE,
@@ -168,6 +168,18 @@ class TestBuildT:
 
         monkeypatch.setattr(ordinals.iterated, "join", lambda *fs: reduce(pairwise, fs))
         assert one_pass == [build_t(a, i, n, k) for a in ords for i in (0, k - 1) for n in (0, 1)]
+
+    @pytest.mark.parametrize("k", [2, 50, 1000])
+    def test_wide_successor_builds_each_tree_once(self, monkeypatch, k):
+        # each color, and its one-node tree a level up, is built once; the
+        # product adds its root and lifts its head; printing builds nothing
+        calls = []
+        new = iterated.ITree.__new__
+        monkeypatch.setattr(iterated.ITree, "__new__",
+                            lambda cls, *args: calls.append(args) or new(cls, *args))
+        text = serialize_forest(build_t(ONE, 0, 0, k))
+        assert len(calls) == 2 * k + 2
+        assert text == "{[0:" + ",".join(f"[{i}]" for i in range(k)) + "]}"
 
     def test_infinite_alphabet_rejected(self):
         with pytest.raises(ValueError, match="finite alphabet"):

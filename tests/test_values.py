@@ -137,7 +137,8 @@ LAYER_MODULES = {"fhc.cli", "fhc.forests", "fhc.hierarchy", "fhc.iterated", "fhc
 def _fresh_call(*argv: str) -> tuple[str, set[str], set[str]]:
     proc = subprocess.run([sys.executable, "-S", "-c", IMPORT_SCRIPT, str(SRC), *argv],
                           capture_output=True, text=True, check=True)
-    verdict, modules, unrun = proc.stdout.split("\n")[:3]
+    lines = proc.stdout.split("\n")  # the verdict's first line, ..., modules, unrun, ""
+    verdict, modules, unrun = lines[0], lines[-3], lines[-2]
     return verdict, set(modules.split()), set(unrun.split())
 
 
@@ -159,6 +160,17 @@ def test_cli_import_loads_no_dataclasses_inspect_or_json():
 def test_term_commands_run_no_ordinal_or_segment_code(argv, verdict):
     assert _fresh_call(*argv)[0] == verdict
     assert _fresh_call(*argv)[2] == {"fhc.ordinals", "fhc.hierarchy"}
+
+
+@pytest.mark.parametrize("argv, verdict", [
+    (("enumerate", "--k", "2", "--nodes", "2", "--level", "1"),
+     "fhc-segment v1 k=2 nodes=2 level=1"),
+    (("diagram", "--k", "2", "--nodes", "2", "--level", "1"), "digraph segment {"),
+])
+def test_segment_commands_run_no_parser_term_or_ordinal_code(argv, verdict):
+    # a segment prints its forests through iterated and parses nothing
+    assert _fresh_call(*argv)[0] == verdict
+    assert _fresh_call(*argv)[2] == {"fhc.notation", "fhc.terms", "fhc.ordinals"}
 
 
 def test_package_names_resolve_to_their_modules():
