@@ -15,7 +15,7 @@ from importlib.util import LazyLoader, module_from_spec, spec_from_file_location
 
 #: the public names of the package, by the module that defines them
 _MODULES = {
-    "forests": "ANTICHAIN LabelPreorder OracleBoundError"
+    "forests": "ANTICHAIN BoundError LabelPreorder OracleBoundError"
                " canonical_decomposition h_leq h_leq_oracle is_join_irreducible minimize",
     "iterated": "IForest ITree canonical colim_leq color color_forest dot_p iminimize itree"
                 " lift r_drop representative s_lift unlift",

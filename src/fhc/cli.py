@@ -16,8 +16,8 @@ from types import SimpleNamespace
 
 # a submodule runs when first read: hierarchy, notation, ordinals and terms in handlers
 from . import hierarchy, iterated, notation, ordinals, terms
-from .forests import OracleBoundError
-from .iterated import IForest, SegmentBoundError
+from .forests import BoundError
+from .iterated import IForest
 
 
 class UsageError(ValueError):
@@ -295,9 +295,7 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(exc, UsageError):  # help and usage errors exit from inside main
             raise SystemExit(1) from None
         return 1
-    # read after ValueError, so that only a refusal with exit 2 loads terms and ordinals
-    except (RecursionError, OracleBoundError, SegmentBoundError, terms.GradeBoundError,
-            ordinals.OutputBoundError) as exc:
+    except (RecursionError, BoundError) as exc:
         if isinstance(exc, RecursionError):
             exc = f"input nests too deeply (Python recursion limit {sys.getrecursionlimit()})"
         print(f"error: {exc}", file=sys.stderr)

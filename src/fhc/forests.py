@@ -21,7 +21,19 @@ DEFAULT_ORACLE_BOUND = 10_000_000
 ORACLE_BOUND_ENV = "FHC_ORACLE_BOUND"
 
 
-class OracleBoundError(RuntimeError):
+class BoundError(RuntimeError):
+    """A computation refused before it outgrows a resource bound, raised as
+    ``BoundError(guard, size, bound)``: what is refused, the size it asks
+    for, and the bound (with the setting that overrides it, if any)."""
+
+    def __init__(self, guard: str, size: str, bound: int | str) -> None:
+        super().__init__(guard, size, bound)
+
+    def __str__(self) -> str:
+        return "{} too large: {} (bound {})".format(*self.args)
+
+
+class OracleBoundError(BoundError):
     """Raised when the brute-force search space exceeds the configured bound."""
 
 
@@ -136,10 +148,6 @@ def h_leq(a, b, q: LabelPreorder) -> bool:
     )
 
 
-def h_equiv(a, b, q: LabelPreorder) -> bool:
-    return h_leq(a, b, q) and h_leq(b, a, q)
-
-
 # ---------------------------------------------------------------------------
 # The same order decided from the definition: search for a monotone,
 # label-respecting map of nodes.  Ground truth for the recursion above.
@@ -176,10 +184,8 @@ def h_leq_oracle(a, b, q: LabelPreorder, bound: int | None = None) -> bool:
         return True
     maps = len(b_labels) ** len(a_labels)
     if maps > bound:
-        raise OracleBoundError(
-            f"oracle too large: {len(b_labels)}**{len(a_labels)} = {maps} maps"
-            f" exceed the bound {bound} ({ORACLE_BOUND_ENV})"
-        )
+        raise OracleBoundError("oracle", f"{len(b_labels)}**{len(a_labels)} = {maps} maps",
+                               f"{bound}, {ORACLE_BOUND_ENV}")
     if not b_labels:
         return False
 

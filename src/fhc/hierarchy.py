@@ -108,8 +108,7 @@ def enumerate_segment(
     # with a color, every size and level holds a forest: huge bounds go uncounted
     least = 1 + max_nodes * (max_level + 1)
     if least > bound:
-        raise SegmentBoundError(
-            f"segment too large: at least {least} forests exceed the bound {bound}")
+        raise SegmentBoundError("segment", f"at least {least} forests", bound)
     minimal = iterated.minimal_forests(k, max_nodes, max_level, bound)
     reps = [iterated.canonical(f) for f in minimal if f.floor == f.level]
     covers = _transitive_reduction(reps)
@@ -163,6 +162,7 @@ def _class_rows(reps: list[IForest]) -> list[int]:
         return out
 
     visit(t for f in reps for t in f.trees)
+    del visit  # visit refers to itself: unbound, the pool dies with the call
     n = len(pool)
     for j, f in enumerate(reps):
         for t in f.trees:

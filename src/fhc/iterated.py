@@ -22,10 +22,10 @@ from operator import attrgetter
 from typing import Callable
 
 from . import forests
-from .forests import LabelPreorder, Record
+from .forests import BoundError, LabelPreorder, Record
 
 
-class SegmentBoundError(RuntimeError):
+class SegmentBoundError(BoundError):
     """Raised when a segment would build more than its bound."""
 
 
@@ -197,7 +197,7 @@ def unlift(f: IForest) -> IForest:
 @lru_cache(maxsize=None)
 def tree_leq0(a: ITree, b: ITree) -> bool:
     """The embedding order on two trees of any levels."""
-    return forests.h_leq(singleton(a), singleton(b), LABEL_ORDER)
+    return forests._tree_leq(a, b, LABEL_ORDER, {})
 
 
 def _label_leq(a: "int | ITree", b: "int | ITree") -> bool:
@@ -403,9 +403,7 @@ def _forests(k: int, max_size: int, max_level: int, keep: Callable,
         nonlocal built
         built += n
         if bound is not None and built > bound:
-            raise SegmentBoundError(
-                f"segment too large: at least {built} trees and forests"
-                f" exceed the bound {bound}")
+            raise SegmentBoundError("segment", f"at least {built} trees and forests", bound)
         return item
 
     @cache
@@ -448,15 +446,18 @@ def _forests(k: int, max_size: int, max_level: int, keep: Callable,
                     rec(i + 1, remaining - m * t.size, acc + (t,) * m)
 
         rec(0, total, ())
+        del rec  # rec refers to itself: unbound, it leaves the pool to no cyclic collector
         return out
 
-    return [IForest(0)] + [
+    out = [IForest(0)] + [
         IForest(level, ch)
         for size in range(1, max_size + 1)
         for level in range(max_level + 1)
         for ch in tuples(size, level)
         if apart(ch)
     ]
+    del trees, tuples  # they refer to each other: unbound, the tables die with the call
+    return out
 
 
 def count_forests(k: int, max_size: int, max_level: int) -> int:

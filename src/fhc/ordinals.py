@@ -3,7 +3,7 @@
 An ordinal is a finite sum ``w^e1*c1 + ... + w^er*cr`` with strictly
 decreasing ordinal exponents and positive integer coefficients; the empty
 sum is zero.  Only what the level family needs is provided: comparison,
-addition, peeling off the last power, and a text syntax (``w^2*2+w+3``).
+peeling off the last power, and a text syntax (``w^2*2+w+3``).
 
 ``build_t`` turns an ordinal and a color into the tree index of the
 corresponding hierarchy level, by induction on the ordinal: zero gives the
@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import total_ordering
 
 from . import iterated
-from .forests import Record
+from .forests import BoundError, Record
 from .iterated import IForest
 from .notation import ParseError, _lexicon, _Tokens
 from .terms import check_grade
@@ -26,7 +26,7 @@ from .terms import check_grade
 BUILD_T_BOUND = 1_000_000
 
 
-class OutputBoundError(RuntimeError):
+class OutputBoundError(BoundError):
     """Raised when a level index has too many nodes to print."""
 
 
@@ -79,18 +79,6 @@ def ord_compare(a: Ordinal, b: Ordinal) -> int:
     """-1, 0 or 1: the tuple order of the term lists, lexicographic on
     (exponent, coefficient) pairs with a proper prefix below."""
     return (a.terms > b.terms) - (a.terms < b.terms)
-
-
-def ord_add(a: Ordinal, b: Ordinal) -> Ordinal:
-    """Ordinal addition on CNF (left terms below b's lead are absorbed)."""
-    if b.is_zero():
-        return a
-    lead_exp, lead_coef = b.terms[0]
-    kept = [t for t in a.terms if ord_compare(t[0], lead_exp) > 0]
-    merged = lead_coef
-    if len(kept) < len(a.terms) and ord_compare(a.terms[len(kept)][0], lead_exp) == 0:
-        merged += a.terms[len(kept)][1]
-    return Ordinal(tuple(kept) + ((lead_exp, merged),) + b.terms[1:])
 
 
 def peel_last(a: Ordinal) -> tuple[Ordinal, Ordinal]:
@@ -238,5 +226,4 @@ def build_t(alpha: Ordinal, i: int, n: int, k: int) -> IForest:
 
 def _check_size(least: int) -> None:
     if least > BUILD_T_BOUND:
-        raise OutputBoundError(
-            f"build-T too large: at least {least} nodes exceed the bound {BUILD_T_BOUND}")
+        raise OutputBoundError("build-T", f"at least {least} nodes", BUILD_T_BOUND)

@@ -19,7 +19,7 @@ from collections.abc import Callable, Iterator
 from functools import cache, lru_cache, reduce
 
 from . import iterated
-from .forests import Record
+from .forests import BoundError, Record
 from .iterated import IForest, ITree
 
 
@@ -72,14 +72,14 @@ Term = Const | Join | G | Dot
 JUMP_BOUND = 1000
 
 
-class GradeBoundError(RuntimeError):
+class GradeBoundError(BoundError):
     """Raised when a jump chain or product would be deeper than JUMP_BOUND."""
 
 
 def check_grade(p: int, what: str = "graded product") -> None:
     """Refuse ``what`` at grade ``p`` past JUMP_BOUND, before it is built."""
     if p > JUMP_BOUND:
-        raise GradeBoundError(f"{what} too deep: grade {p} exceeds the bound {JUMP_BOUND}")
+        raise GradeBoundError(what, f"grade {p}", JUMP_BOUND)
 
 
 def jump_term(n: int) -> GTerm:

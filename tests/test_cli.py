@@ -285,8 +285,7 @@ class TestExitCodes:
         assert "oracle too large" in proc.stderr
         # the refusal names the requested size, the bound and the guard
         assert proc.stderr == (
-            "error: oracle too large: 2**2 = 4 maps exceed the bound 1"
-            " (FHC_ORACLE_BOUND)\n"
+            "error: oracle too large: 2**2 = 4 maps (bound 1, FHC_ORACLE_BOUND)\n"
         )
 
     def test_oracle_level0_is_a_set_test(self):
@@ -300,8 +299,7 @@ class TestExitCodes:
         # refused at the first product past the bound: T_10 has 1398101 nodes
         assert main(["build-T", "50", "0", "--k", "4"]) == 2
         assert capsys.readouterr() == ("", (
-            "error: build-T too large: at least 1398101 nodes"
-            " exceed the bound 1000000\n"))
+            "error: build-T too large: at least 1398101 nodes (bound 1000000)\n"))
 
     @pytest.mark.parametrize("alpha, least", [
         ("990", 1048575), ("w^990", 1048575), ("w*990", 1572861),
@@ -311,14 +309,14 @@ class TestExitCodes:
         # so a long chain meets the size guard, not the recursion limit
         assert main(["build-T", alpha, "0"]) == 2
         assert capsys.readouterr() == ("", (
-            f"error: build-T too large: at least {least} nodes exceed the bound 1000000\n"))
+            f"error: build-T too large: at least {least} nodes (bound 1000000)\n"))
 
     def test_build_t_alphabet_guard(self, capsys):
         # a nonzero level index stacks a color over all k colors: refused
         # before the k colors are built
         assert main(["build-T", "w^2*2+w+3", "3", "--n", "7", "--k", "1000000"]) == 2
         assert capsys.readouterr() == ("", (
-            "error: build-T too large: at least 1000001 nodes exceed the bound 1000000\n"))
+            "error: build-T too large: at least 1000001 nodes (bound 1000000)\n"))
         assert main(["build-T", "0", "3", "--k", str(10**12)]) == 0
         assert capsys.readouterr().out == "{3}\n"
 
@@ -332,7 +330,7 @@ class TestExitCodes:
         # refused before the chain of `grade` nested G's is built
         assert main(list(argv)) == 2
         assert capsys.readouterr() == ("", (
-            f"error: jump chain too deep: grade {grade} exceeds the bound 1000\n"))
+            f"error: jump chain too large: grade {grade} (bound 1000)\n"))
 
     @pytest.mark.parametrize("argv, grade", [
         (("eval", "(0 .5000 1)"), 5000),
@@ -344,7 +342,7 @@ class TestExitCodes:
         # refused before the product nests `grade` deep; nothing in the input nests
         assert main(list(argv)) == 2
         assert capsys.readouterr() == ("", (
-            f"error: graded product too deep: grade {grade} exceeds the bound 1000\n"))
+            f"error: graded product too large: grade {grade} (bound 1000)\n"))
 
     def test_grade_guard_spares_what_builds_no_product(self, capsys):
         assert capture(capsys, "build-T", "0", "1", "--n", "5000") == (0, "{1}\n")
@@ -384,10 +382,10 @@ PEAK_SCRIPT = (
 class TestSegmentBounds:
     @pytest.mark.parametrize("argv, code, err", [
         (("enumerate", "--nodes", "3", "--level", str(10**12)), 2,
-         "error: segment too large: at least 3000000000004 forests exceed the bound 50000\n"),
+         "error: segment too large: at least 3000000000004 forests (bound 50000)\n"),
         (("diagram", "--k", "0", "--nodes", str(10**12), "--level", "1"), 0, ""),
         (("enumerate", "--k", str(10**12), "--nodes", str(10**12), "--level", "1"), 2,
-         "error: segment too large: at least 2000000000001 forests exceed the bound 50000\n"),
+         "error: segment too large: at least 2000000000001 forests (bound 50000)\n"),
     ], ids=["huge-level", "no-colors", "huge-k-and-nodes"])
     def test_huge_bounds_end_at_once(self, capsys, argv, code, err):
         # every size and level holds a forest, so these are refused uncounted;
@@ -455,8 +453,7 @@ class TestSegmentBounds:
         assert proc.stdout == ""
         err, hwm = proc.stderr.splitlines()
         assert err == (
-            f"error: segment too large: at least {built} trees and forests"
-            " exceed the bound 50000")
+            f"error: segment too large: at least {built} trees and forests (bound 50000)")
         assert int(hwm) < 100 * 1024  # kB
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import re
 import time
@@ -185,7 +186,22 @@ class TestSegments:
         with pytest.raises(SegmentBoundError) as exc:
             enumerate_segment(2, 5, 2, bound=540)
         assert str(exc.value) == (
-            "segment too large: at least 541 trees and forests exceed the bound 540")
+            "segment too large: at least 541 trees and forests (bound 540)")
+
+    @pytest.mark.parametrize("segment", [(4, 4, 1), (2, 5, 2), (3, 4, 2)],
+                             ids="k{0[0]}-n{0[1]}-l{0[2]}".format)
+    def test_tables_die_with_the_call(self, segment):
+        # no reference cycle keeps the generator's or the order table's trees
+        # interned once the segment is dropped: the cyclic collector frees none
+        gc.collect()
+        gc.disable()
+        try:
+            enumerate_segment(*segment)
+            interned = len(iterated._INTERNED)
+            gc.collect()
+            assert len(iterated._INTERNED) == interned
+        finally:
+            gc.enable()
 
     def test_wide_alphabet_answers_quickly(self):
         # every color labels itself in the order table: the table walks the
@@ -365,6 +381,27 @@ class TestTheory:
                                                           for i in (0, 1))))
                  for alpha in _ordinals(max_exponent=2, max_coefficient=3)}
         assert {c for c in seg.classes if len(c.trees) != 1} <= joins | {iterated.IForest(0)}
+
+    def test_deciders_agree_at_level_two(self):
+        # the structural recursion, the map search, the term order of the
+        # encodings and the order table decide alike on every pair of level-2
+        # forests, minimal or not, lifted or at their own floor
+        fs = [f for f in iterated.enumerate_forests(2, 4, 2) if f.level == 2]
+        assert len(fs) == 482
+        rows = hy._class_rows(fs)
+        table = [[bool(row >> j & 1) for j in range(len(fs))] for row in rows]
+        assert {leq for row in table for leq in row} == {True, False}
+        codes = {f: terms.encode(f, 0) for f in fs}
+        for name, leq in [
+            ("colim_leq", iterated.colim_leq),
+            ("colim_leq_oracle", iterated.colim_leq_oracle),
+            ("term_leq", lambda a, b: terms.term_leq(codes[a], codes[b])),
+        ]:
+            got = [[leq(a, b) for b in fs] for a in fs]
+            wrong = [(serialize_forest(a), serialize_forest(b))
+                     for a, row, table_row in zip(fs, got, table)
+                     for b, x, y in zip(fs, row, table_row) if x != y]
+            assert not wrong, (name, len(wrong), wrong[:3])
 
 
 class TestHasseDot:

@@ -19,7 +19,6 @@ from fhc.ordinals import (
     format_ordinal,
     from_int,
     omega_pow,
-    ord_add,
     ord_compare,
     parse_ordinal,
     peel_last,
@@ -90,8 +89,12 @@ class TestPeelLast:
     def test_reconstruction(self, a):
         if a.is_zero():
             return
+        # a = beta + w^gamma: beta is a with one w^gamma fewer at the end
         beta, gamma = peel_last(a)
-        assert ord_add(beta, omega_pow(gamma)) == a
+        exp, coef = a.terms[-1]
+        assert gamma == exp
+        assert beta.terms == a.terms[:-1] + (((exp, coef - 1),) if coef > 1 else ())
+        assert all(e >= gamma for e, _ in beta.terms)
 
 
 class TestSyntax:

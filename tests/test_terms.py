@@ -77,7 +77,7 @@ class TestJumpHeight:
         chain = jump_term(JUMP_BOUND)
         assert sum(isinstance(x, G) for x in subterms(chain)) == JUMP_BOUND
         with pytest.raises(GradeBoundError, match=(
-                f"^jump chain too deep: grade {JUMP_BOUND + 1} exceeds the bound {JUMP_BOUND}$")):
+                rf"^jump chain too large: grade {JUMP_BOUND + 1} \(bound {JUMP_BOUND}\)$")):
             jump_term(JUMP_BOUND + 1)
         with pytest.raises(GradeBoundError):
             s_to_g(Dot(10**12, C0, C1))

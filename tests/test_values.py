@@ -6,6 +6,7 @@ from __future__ import annotations
 import copy
 import itertools
 import operator
+import os
 import pickle
 import random
 import subprocess
@@ -134,12 +135,13 @@ LAYER_MODULES = {"fhc.cli", "fhc.forests", "fhc.hierarchy", "fhc.iterated", "fhc
                  "fhc.ordinals", "fhc.terms"}
 
 
-def _fresh_call(*argv: str) -> tuple[str, set[str], set[str]]:
+def _fresh_call(*argv: str, env: dict | None = None) -> tuple[str, set[str], set[str]]:
     proc = subprocess.run([sys.executable, "-S", "-c", IMPORT_SCRIPT, str(SRC), *argv],
-                          capture_output=True, text=True, check=True)
+                          capture_output=True, text=True, check=True, env=env)
     lines = proc.stdout.split("\n")  # the verdict's first line, ..., modules, unrun, ""
-    verdict, modules, unrun = lines[0], lines[-3], lines[-2]
-    return verdict, set(modules.split()), set(unrun.split())
+    # a call that prints no verdict has its error line instead
+    verdict = lines[0] if len(lines) > 3 else proc.stderr.rstrip("\n")
+    return verdict, set(lines[-3].split()), set(lines[-2].split())
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_json():
@@ -171,6 +173,21 @@ def test_segment_commands_run_no_parser_term_or_ordinal_code(argv, verdict):
     # a segment prints its forests through iterated and parses nothing
     assert _fresh_call(*argv)[0] == verdict
     assert _fresh_call(*argv)[2] == {"fhc.notation", "fhc.terms", "fhc.ordinals"}
+
+
+@pytest.mark.parametrize("argv, bound, guard, unrun", [
+    (("enumerate", "--k", "300", "--nodes", "2", "--level", "1"), None, "segment",
+     {"fhc.notation", "fhc.terms", "fhc.ordinals"}),
+    (("cmp", "{[0:[1]]}", "{[0:[1]]}", "--oracle"), "1", "oracle",
+     {"fhc.terms", "fhc.ordinals", "fhc.hierarchy"}),
+], ids=["segment", "oracle"])
+def test_refusals_run_no_term_or_ordinal_code(argv, bound, guard, unrun):
+    # the exit-2 handler names only the base class of the guards, which the
+    # order's module defines
+    env = dict(os.environ, FHC_ORACLE_BOUND=bound) if bound else None
+    verdict, _, left = _fresh_call(*argv, env=env)
+    assert verdict.startswith(f"error: {guard} too large: ")
+    assert left == unrun
 
 
 def test_package_names_resolve_to_their_modules():
