@@ -7,14 +7,16 @@ or equal label.  This module decides that order two independent ways (a
 structural recursion and a brute-force search over node maps), minimizes
 forests within their equivalence class, and provides the sequential product.
 
-The core runs on the iterated ``ITree``/``IForest`` over any label preorder:
-a k-labeled forest is a level-1 iterated forest, colors under equality.
+The core runs on the iterated ``ITree``/``IForest`` over any label preorder
+``q(a, b)``, a predicate on labels, the trees one level down (a color is its
+own label), assumed reflexive and transitive on the labels used.  A k-labeled
+forest is a level-1 iterated forest, colors under equality.
 """
 
 from __future__ import annotations
 
 import os
-from operator import attrgetter
+from operator import attrgetter, eq
 from typing import Any, Callable, Iterator
 
 DEFAULT_ORACLE_BOUND = 10_000_000
@@ -83,24 +85,8 @@ class Record:
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
-class LabelPreorder(Record):
-    """A label domain given by its comparison predicate.
-
-    ``leq`` must be reflexive and transitive on every label actually used;
-    this is assumed, not checked.
-    """
-
-    __slots__ = ("leq", "name")
-
-    def __init__(self, leq: Callable[[Any, Any], bool], name: str = "preorder") -> None:
-        self._set(leq, name)
-
-    def __repr__(self) -> str:
-        return f"LabelPreorder({self.name})"
-
-
 #: Labels comparable only to themselves (equality as the preorder).
-ANTICHAIN = LabelPreorder(lambda a, b: a == b, "antichain")
+ANTICHAIN = eq
 
 
 # ---------------------------------------------------------------------------
@@ -115,20 +101,22 @@ def _nodes(t) -> Iterator:
         stack.extend(reversed(t.children))
 
 
-def _tree_leq(a, b, q: LabelPreorder, memo: dict) -> bool:
+def _tree_leq(a, b, q: Callable, memo: dict) -> bool:
     key = (a, b)
     hit = memo.get(key)
     if hit is not None:
         return hit
-    a_single = not a.children
-    b_single = not b.children
-    if a_single and b_single:
-        out = q.leq(a.label, b.label)
-    elif a_single:
-        out = any(q.leq(a.label, n.label) for n in _nodes(b))
-    elif b_single:
-        out = all(q.leq(n.label, b.label) for n in _nodes(a))
-    elif q.leq(a.label, b.label):
+    # a color is its own label; only a tree with no children can be a color
+    if not a.children:
+        label = a.label if a.level else a
+        if not b.children:
+            out = q(label, b.label if b.level else b)
+        else:
+            out = any(q(label, n.label) for n in _nodes(b))
+    elif not b.children:
+        label = b.label if b.level else b
+        out = all(q(n.label, label) for n in _nodes(a))
+    elif q(a.label, b.label):
         out = all(_tree_leq(c, b, q, memo) for c in a.children)
     else:
         out = any(_tree_leq(a, c, q, memo) for c in b.children)
@@ -136,7 +124,7 @@ def _tree_leq(a, b, q: LabelPreorder, memo: dict) -> bool:
     return out
 
 
-def h_leq(a, b, q: LabelPreorder) -> bool:
+def h_leq(a, b, q: Callable) -> bool:
     """Decide whether ``a`` embeds into ``b`` over the label preorder ``q``.
 
     The empty forest is below everything; otherwise every tree of ``a`` must
@@ -161,16 +149,19 @@ def _flatten(f) -> tuple[list[Any], list[int]]:
         t, parent = stack.pop()
         if t.children:  # t is node len(labels), parent of its children
             stack += [(c, len(labels)) for c in reversed(t.children)]
-        labels.append(t.label)
+        labels.append(t.label if t.level else t)  # a color is its own label
         parents.append(parent)
     return labels, parents
 
 
 def oracle_bound() -> int:
-    return int(os.environ.get(ORACLE_BOUND_ENV, DEFAULT_ORACLE_BOUND))
+    text = os.environ.get(ORACLE_BOUND_ENV, str(DEFAULT_ORACLE_BOUND))
+    if not text.strip().isdecimal():
+        raise ValueError(f"{ORACLE_BOUND_ENV} must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
-def h_leq_oracle(a, b, q: LabelPreorder, bound: int | None = None) -> bool:
+def h_leq_oracle(a, b, q: Callable, bound: int | None = None) -> bool:
     """Decide the embedding order by exhausting node maps from ``a`` to ``b``.
 
     Intended for small inputs; refuses when the map space ``|b| ** |a|``
@@ -200,12 +191,12 @@ def h_leq_oracle(a, b, q: LabelPreorder, bound: int | None = None) -> bool:
     # depth-first over a's nodes in preorder, without recursion: node i moves
     # from its image (-1 before the first) to the next that respects its label
     # and its parent's image or, with none left, backs up to node i - 1
-    n, m, leq = len(a_labels), len(b_labels), q.leq
+    n, m = len(a_labels), len(b_labels)
     image, i = [-1] * n, 0
     while 0 <= i < n:
         label, p = a_labels[i], a_parents[i]
         for j in range(image[i] + 1, m):
-            if leq(label, b_labels[j]) and (p == -1 or below(image[p], j)):
+            if q(label, b_labels[j]) and (p == -1 or below(image[p], j)):
                 image[i] = j
                 i += 1
                 break
@@ -218,7 +209,7 @@ def h_leq_oracle(a, b, q: LabelPreorder, bound: int | None = None) -> bool:
 # ---------------------------------------------------------------------------
 # Minimization: the least-node-count representative of a class.
 
-def minimize(f, q: LabelPreorder):
+def minimize(f, q: Callable):
     """Return a forest of minimum node count equivalent to ``f``.
 
     Follows the standard recursion: dominated trees are dropped, nodes whose
@@ -228,7 +219,7 @@ def minimize(f, q: LabelPreorder):
     return f.with_trees(_min_trees(f.trees, q))
 
 
-def _min_trees(trees: tuple, q: LabelPreorder) -> tuple:
+def _min_trees(trees: tuple, q: Callable) -> tuple:
     if len(trees) > 1:
         memo: dict = {}
         kept = []
@@ -247,34 +238,34 @@ def _min_trees(trees: tuple, q: LabelPreorder) -> tuple:
     return tuple(_min_tree(t, q) for t in trees)
 
 
-def _min_tree(t, q: LabelPreorder):
+def _min_tree(t, q: Callable):
     if not t.children:
         return t
     root = t.label
     kids = _min_trees(t.children, q)
     kids = _min_trees(tuple(_strip_dominated(kids, root, q)), q)
-    if len(kids) == 1 and q.leq(root, kids[0].label):
+    if len(kids) == 1 and q(root, kids[0].label):
         return kids[0]
     return t.with_children(kids)
 
 
-def _strip_dominated(trees: tuple, root: Any, q: LabelPreorder) -> Iterator:
+def _strip_dominated(trees: tuple, root: Any, q: Callable) -> Iterator:
     # splice out every node reachable from the root through labels <= root
     for c in trees:
-        if q.leq(c.label, root):
+        if q(c.label, root):
             yield from _strip_dominated(c.children, root, q)
         else:
             yield c
 
 
-def is_join_irreducible(f, q: LabelPreorder) -> bool:
+def is_join_irreducible(f, q: Callable) -> bool:
     """Whether ``f`` is not a join of two strictly smaller classes."""
     if f.is_empty():
         raise ValueError("bottom element: the empty forest is not join-irreducible")
     return len(minimize(f, q).trees) == 1
 
 
-def canonical_decomposition(f, q: LabelPreorder) -> tuple:
+def canonical_decomposition(f, q: Callable) -> tuple:
     """The pairwise incomparable minimal trees joining to ``f``.
 
     Empty for the empty forest (supremum of the empty family).

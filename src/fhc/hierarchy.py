@@ -8,11 +8,13 @@ hierarchy does not collapse, so non-order implies non-inclusion.  The
 complete member of a level is returned symbolically, as the mind-change
 term of the descriptor.
 
-The quotient machinery generates the minimal forests within resource
-bounds, one per equivalence class, decides their order from one table of
-tree up-sets built bottom-up over subtrees, reads the covers off it, and
-emits the resulting poset as a Hasse diagram (DOT text) or a line-oriented
-cache file.  Both outputs are deterministic, byte for byte.
+The quotient machinery generates a segment, the classes with a member of at
+most ``nodes`` color occurrences and level at most ``level``, one minimal
+forest each.  It decides their order from one table of tree up-sets built
+bottom-up over subtrees, reads off it the covers among those classes (a
+class outside can lie between, so they need not be covers of the quotient),
+and emits the poset as a Hasse diagram (DOT text) or a line-oriented cache
+file.  Both outputs are deterministic, byte for byte.
 """
 
 from __future__ import annotations
@@ -74,11 +76,12 @@ def complete_witness(t: LevelDescriptor, shift: int = 0) -> terms.GTerm:
 # Quotient segments.
 
 class QuotientSegment(Record):
-    """An initial segment of the quotient poset.
+    """The classes with a member of at most ``max_nodes`` color occurrences
+    and level at most ``max_level``: no initial segment of the quotient.
 
     ``classes`` holds one minimal canonical representative per equivalence
-    class; ``covers`` is the transitive reduction of the strict order, as
-    (lower index, upper index) pairs.
+    class; ``covers`` is the transitive reduction of the strict order among
+    those classes, as (lower index, upper index) pairs.
     """
 
     __slots__ = ("k", "max_nodes", "max_level", "classes", "covers")

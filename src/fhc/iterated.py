@@ -22,7 +22,7 @@ from operator import attrgetter
 from typing import Callable
 
 from . import forests
-from .forests import BoundError, LabelPreorder, Record
+from .forests import BoundError, Record
 
 
 class SegmentBoundError(BoundError):
@@ -196,20 +196,13 @@ def unlift(f: IForest) -> IForest:
 
 @lru_cache(maxsize=None)
 def tree_leq0(a: ITree, b: ITree) -> bool:
-    """The embedding order on two trees of any levels."""
-    return forests._tree_leq(a, b, LABEL_ORDER, {})
+    """The embedding order on two trees of any levels: colors by identity,
+    which interning makes equality; a color meets a tree as its one-node tree."""
+    return a is b if a.level == b.level == 0 else forests._tree_leq(a, b, tree_leq0, {})
 
 
-def _label_leq(a: "int | ITree", b: "int | ITree") -> bool:
-    # colors compare by equality, and with a tree as their one-node tree
-    if isinstance(a, int):
-        return a == b if isinstance(b, int) else tree_leq0(color(a), b)
-    return tree_leq0(a, color(b) if isinstance(b, int) else b)
-
-
-#: colors by equality, iterated trees of any levels by the embedding order;
-#: the label preorder of every level
-LABEL_ORDER = LabelPreorder(_label_leq, "colors and iterated trees")
+#: the label preorder of every level: labels are trees one level down
+LABEL_ORDER = tree_leq0
 
 
 @lru_cache(maxsize=None)

@@ -210,10 +210,6 @@ def term_r(u: STerm) -> STerm:
 # ---------------------------------------------------------------------------
 # Between forests and terms.
 
-def _join_all(parts: list[STerm]) -> STerm:
-    return reduce(Join, parts)
-
-
 def encode(f: IForest, shift: int = 0) -> STerm:
     """The canonical term of a forest, with grades starting at ``shift``.
 
@@ -222,7 +218,7 @@ def encode(f: IForest, shift: int = 0) -> STerm:
     """
     if f.is_empty():
         raise ValueError("bottom has no term")
-    return _join_all([_encode_tree(t, shift) for t in f.trees])
+    return reduce(Join, [_encode_tree(t, shift) for t in f.trees])
 
 
 @lru_cache(maxsize=None)
@@ -231,7 +227,7 @@ def _encode_tree(t: ITree, shift: int) -> STerm:
         return Const(t.label)
     if not t.children:
         return _encode_tree(t.label, shift + 1)
-    children = _join_all([_encode_tree(c, shift) for c in t.children])
+    children = reduce(Join, [_encode_tree(c, shift) for c in t.children])
     return Dot(shift, _encode_tree(t.label, shift + 1), children)
 
 

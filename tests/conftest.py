@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from functools import reduce
 from itertools import permutations
 from operator import and_, or_
@@ -44,7 +45,7 @@ def random_itree(
     return iterated.ITree(level, label, children)
 
 
-def h_leq_rows(fs: list, q: forests.LabelPreorder) -> list[int]:
+def h_leq_rows(fs: list, q: Callable) -> list[int]:
     """Reference order rows: bit ``j`` of row ``i`` is set when ``fs[i]``
     embeds into ``fs[j]``.  Each pair of distinct trees is decided once by
     ``forests._tree_leq``, with one memo; a tree's up-set is the forests
@@ -105,15 +106,11 @@ def minimal_forests_by_minimizing(k: int, max_size: int, max_level: int) -> list
     ]
 
 
-def _oracle_label_leq(a, b) -> bool:
-    # colors by equality; otherwise a color is its one-node tree, and two
-    # trees are compared by the map search, whose labels come back here
-    if isinstance(a, int) and isinstance(b, int):
-        return a == b
-    a, b = (iterated.color(x) if isinstance(x, int) else x for x in (a, b))
+def ORACLE_LABELS(a: iterated.ITree, b: iterated.ITree) -> bool:
+    """The label preorder of every level, decided by the map search alone:
+    with ``forests.h_leq_oracle`` it decides ``colim_leq`` with no structural
+    recursion.  Colors compare by identity; otherwise two labels, trees one
+    level down, are compared by the map search, whose labels come back here."""
+    if a.level == b.level == 0:
+        return a is b
     return forests.h_leq_oracle(iterated.singleton(a), iterated.singleton(b), ORACLE_LABELS)
-
-
-#: the label preorder of every level, decided by the map search alone: with
-#: ``forests.h_leq_oracle`` it decides ``colim_leq`` with no structural recursion
-ORACLE_LABELS = forests.LabelPreorder(_oracle_label_leq, "labels by map search")

@@ -288,6 +288,14 @@ class TestExitCodes:
             "error: oracle too large: 2**2 = 4 maps (bound 1, FHC_ORACLE_BOUND)\n"
         )
 
+    @pytest.mark.parametrize("bound", ["abc", "-5"])
+    def test_oracle_bound_env_must_be_a_count(self, bound):
+        # a bound that is no non-negative integer is a usage error, named
+        env = dict(os.environ, FHC_ORACLE_BOUND=bound)
+        proc = run("cmp", "{[0:[1]]}", "{[0:[1]]}", "--oracle", env=env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", (
+            f"error: FHC_ORACLE_BOUND must be a non-negative integer, got '{bound}'\n"))
+
     def test_oracle_level0_is_a_set_test(self):
         # ten colors against ten: the map search would need 10**10 maps; the
         # level-0 set test answers at once

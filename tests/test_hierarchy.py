@@ -382,6 +382,41 @@ class TestTheory:
                  for alpha in _ordinals(max_exponent=2, max_coefficient=3)}
         assert {c for c in seg.classes if len(c.trees) != 1} <= joins | {iterated.IForest(0)}
 
+    def test_larger_segments_split_covers(self):
+        # a segment holds the classes with a member of at most ``nodes`` color
+        # occurrences; it is no initial segment of the quotient, and its covers
+        # are covers among its own classes only
+        small, large = enumerate_segment(2, 3, 1), enumerate_segment(2, 7, 1)
+        assert (len(small.classes), len(small.covers)) == (8, 10)
+        assert set(small.classes) <= set(large.classes)
+
+        def strictly_between(lo, hi):
+            return [c for c in large.classes
+                    if iterated.colim_leq(lo, c) and not iterated.colim_leq(c, lo)
+                    and iterated.colim_leq(c, hi) and not iterated.colim_leq(hi, c)]
+
+        split = [(lo, hi) for lo, hi in small.covers
+                 if strictly_between(small.classes[lo], small.classes[hi])]
+        assert len(split) == 4
+        # the join of two 2-node trees has 4 nodes: it falls outside (2,3,1)
+        lo, mid, hi = map(parse_forest, ["{[0:[1]]}", "{[0:[1]],[1:[0]]}", "{[0:[1:[0]]]}"])
+        assert mid in strictly_between(lo, hi)
+        assert (small.classes.index(lo), small.classes.index(hi)) in small.covers
+
+    def test_t_omega_lies_above_every_alternating_chain(self):
+        # no finite set holding T_omega is down-closed at level 2 and above
+        t_omega = parse_forest("{[[0:[1]]]}")
+        assert t_omega == iterated.representative(build_t(Ordinal(((from_int(1), 1),)), 0, 0, 2))
+        for nodes in (2, 4, 13, 41, 200):
+            for first in (0, 1):
+                t = iterated.ITree(1, iterated.color((first + nodes - 1) % 2))
+                for i in reversed(range(nodes - 1)):
+                    t = iterated.ITree(1, iterated.color((first + i) % 2), (t,))
+                chain = iterated.singleton(t)
+                assert chain.size == nodes
+                assert iterated.colim_leq(chain, t_omega), (nodes, first)
+                assert not iterated.colim_leq(t_omega, chain), (nodes, first)
+
     def test_deciders_agree_at_level_two(self):
         # the structural recursion, the map search, the term order of the
         # encodings and the order table decide alike on every pair of level-2

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import copy
 import itertools
-import operator
 import os
 import pickle
 import random
@@ -15,7 +14,6 @@ from pathlib import Path
 
 import pytest
 
-from fhc.forests import LabelPreorder
 from fhc.hierarchy import LevelDescriptor, QuotientSegment
 from fhc.iterated import IForest, color, itree
 from fhc.ordinals import ONE, ZERO, Ordinal, ord_compare, parse_ordinal
@@ -25,7 +23,6 @@ C0, C1 = color(0), color(1)
 
 #: (class, positional arguments, repr as the dataclasses printed it)
 VALUES = [
-    (LabelPreorder, (operator.le, "le"), "LabelPreorder(le)"),
     (IForest, (0, ()), "IForest(level=0, trees=())"),
     (Const, (0,), "Const(color=0)"),
     (Join, (Const(0), Const(1)), "Join(left=Const(color=0), right=Const(color=1))"),
@@ -189,12 +186,3 @@ def test_refusals_run_no_term_or_ordinal_code(argv, bound, guard, unrun):
     assert verdict.startswith(f"error: {guard} too large: ")
     assert left == unrun
 
-
-def test_package_names_resolve_to_their_modules():
-    import fhc
-
-    for module, names in fhc._MODULES.items():
-        for name in names.split():
-            assert getattr(fhc, name) is getattr(sys.modules[f"fhc.{module}"], name), name
-    with pytest.raises(AttributeError, match="has no attribute 'nonesuch'"):
-        fhc.nonesuch
