@@ -16,6 +16,7 @@ forest is a level-1 iterated forest, colors under equality.
 from __future__ import annotations
 
 import os
+from functools import partial
 from operator import attrgetter, eq
 from typing import Any, Callable, Iterator
 
@@ -214,36 +215,30 @@ def minimize(f, q: Callable):
 
     Follows the standard recursion: dominated trees are dropped, nodes whose
     whole path from the root stays below the root label are spliced out, and
-    a root covering its only child is removed.
+    a root covering its only child is removed.  Each subtree is minimized
+    once, before its parent splices.
     """
     return f.with_trees(_min_trees(f.trees, q))
 
 
 def _min_trees(trees: tuple, q: Callable) -> tuple:
-    if len(trees) > 1:
-        memo: dict = {}
-        kept = []
-        for i, t in enumerate(trees):
-            dominated = False
-            for j, u in enumerate(trees):
-                if i == j or not _tree_leq(t, u, q, memo):
-                    continue
-                # strictly below, or a duplicate of an earlier tree
-                if not _tree_leq(u, t, q, memo) or j < i:
-                    dominated = True
-                    break
-            if not dominated:
-                kept.append(t)
-        trees = kept
-    return tuple(_min_tree(t, q) for t in trees)
+    return tuple(_min_tree(t, q) for t in _undominated(trees, q))
+
+
+def _undominated(trees: tuple, q: Callable) -> tuple:
+    # drop a tree strictly below another, or a duplicate of an earlier one
+    leq = partial(_tree_leq, q=q, memo={})
+    return tuple(t for i, t in enumerate(trees) if not any(
+        j != i and leq(t, u) and (j < i or not leq(u, t)) for j, u in enumerate(trees)))
 
 
 def _min_tree(t, q: Callable):
     if not t.children:
         return t
     root = t.label
-    kids = _min_trees(t.children, q)
-    kids = _min_trees(tuple(_strip_dominated(kids, root, q)), q)
+    # splicing brings up only subtrees of minimal children, which are minimal
+    # already: only the dominated ones are left to drop
+    kids = _undominated(tuple(_strip_dominated(_min_trees(t.children, q), root, q)), q)
     if len(kids) == 1 and q(root, kids[0].label):
         return kids[0]
     return t.with_children(kids)

@@ -119,20 +119,25 @@ def enumerate_segment(
 
 
 def _transitive_reduction(reps: list[IForest]) -> tuple[tuple[int, int], ...]:
-    # rows over a linear extension, larger up-sets (lower classes) first: a
-    # row's lowest class left is a cover and drops all above it (Aho, Garey &
-    # Ullman), so only covers are visited
-    sizes = [row.bit_count() for row in _class_rows(reps)]
-    order = sorted(range(len(reps)), key=lambda i: -sizes[i])
-    rows = _class_rows([reps[i] for i in order])
+    # for class i, take the lowest class j left above it and drop all above j
+    # from what is left and from the covers found: a least class above i is
+    # above no visited class, and a visited class that is not least goes when
+    # a least class below it is visited, in any index order; i ascends and the
+    # survivors are read low bit first, so covers come ordered by (lower, upper)
+    rows = _class_rows(reps)
     covers = []
     for i, row in enumerate(rows):
         row &= ~(1 << i)
+        found = 0
         while row:
             j = (row & -row).bit_length() - 1
-            covers.append((order[i], order[j]))
             row &= ~rows[j]
-    return tuple(sorted(covers))
+            found = found & ~rows[j] | 1 << j
+        while found:
+            j = (found & -found).bit_length() - 1
+            covers.append((i, j))
+            found ^= 1 << j
+    return tuple(covers)
 
 
 def _class_rows(reps: list[IForest]) -> list[int]:

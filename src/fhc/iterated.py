@@ -236,9 +236,10 @@ def colim_equiv(a: IForest, b: IForest, n: int = 0) -> bool:
 def colim_leq_oracle(a: IForest, b: IForest, n: int = 0) -> bool:
     """``colim_leq`` decided by the brute-force map search; small inputs only."""
     a, b = _dropped(a, b, n)
+    bound = forests.oracle_bound()  # read, and checked, whatever the operands
     if a.level == b.level == 0:
         return set(a.trees) <= set(b.trees)
-    return forests.h_leq_oracle(a, b, LABEL_ORDER)
+    return forests.h_leq_oracle(a, b, LABEL_ORDER, bound)
 
 
 # ---------------------------------------------------------------------------

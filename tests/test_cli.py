@@ -14,10 +14,11 @@ import pytest
 from fhc.cli import main
 
 
-def run(*argv, env=None):
+def run(*argv, env=None, timeout=60):
+    # a call that runs past ``timeout`` seconds fails its test instead of hanging
     proc = subprocess.run(
         [sys.executable, "-m", "fhc.cli", *argv],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
     return proc
 
@@ -288,11 +289,15 @@ class TestExitCodes:
             "error: oracle too large: 2**2 = 4 maps (bound 1, FHC_ORACLE_BOUND)\n"
         )
 
-    @pytest.mark.parametrize("bound", ["abc", "-5"])
-    def test_oracle_bound_env_must_be_a_count(self, bound):
-        # a bound that is no non-negative integer is a usage error, named
+    @pytest.mark.parametrize("bound, operands", [
+        ("abc", ("{[0:[1]]}", "{[0:[1]]}")), ("-5", ("{[0:[1]]}", "{[0:[1]]}")),
+        ("abc", ("{0}", "{0,1}")), ("-5", ("{0}", "{0,1}")),
+    ], ids=["abc", "-5", "abc-colors", "-5-colors"])
+    def test_oracle_bound_env_must_be_a_count(self, bound, operands):
+        # a bound that is no non-negative integer is a usage error, named,
+        # also where the operands are colors, which need no map search
         env = dict(os.environ, FHC_ORACLE_BOUND=bound)
-        proc = run("cmp", "{[0:[1]]}", "{[0:[1]]}", "--oracle", env=env)
+        proc = run("cmp", *operands, "--oracle", env=env)
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", (
             f"error: FHC_ORACLE_BOUND must be a non-negative integer, got '{bound}'\n"))
 
@@ -465,6 +470,10 @@ class TestSegmentBounds:
         assert int(hwm) < 100 * 1024  # kB
 
 
+#: a minimal 60-node chain, its colors alternating from the root down
+CHAIN_60 = "[1:[0:" * 29 + "[1:[0]" + "]" * 59
+
+
 class TestDeepInput:
     """Nesting past the recursion limit is refused, never a traceback."""
 
@@ -495,6 +504,15 @@ class TestDeepInput:
         # only JSON output prints the operands, so text output answers deep
         # input that no layer but the operands' printer recurses through
         proc = run(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+
+    @pytest.mark.parametrize("command, out", [
+        ("min", "{" + CHAIN_60 + "}\n"), ("decompose", CHAIN_60 + "\n"),
+    ], ids=["min", "decompose"])
+    def test_deep_chain_minimizes_quickly(self, command, out):
+        # the chain is minimal, and each node is minimized once, not once per
+        # path down to it: the call answers at once instead of in 2**59 steps
+        proc = run(command, "{" + CHAIN_60 + "}", timeout=10)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
 
 

@@ -8,6 +8,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fhc import forests
 from fhc.forests import (
     ANTICHAIN,
     BoundError,
@@ -213,6 +214,23 @@ class TestMinimize:
         # 0 -> 0 -> 1 keeps only one 0 on the path
         got = minimize(iforest(tree(0, tree(0, tree(1)))), ANTICHAIN)
         assert got == CHAIN01
+
+    def test_chain_minimizes_each_node_once(self, monkeypatch):
+        # the children are minimal once minimized, and so is all that splicing
+        # brings up: 21 calls on a 21-node chain, not one per root-to-node path
+        chain = tree(0)
+        for i in range(20):
+            chain = tree((i + 1) % 2, chain)
+        calls = []
+        real = forests._min_tree
+
+        def counting(t, q):
+            calls.append(t)
+            return real(t, q)
+
+        monkeypatch.setattr(forests, "_min_tree", counting)
+        assert minimize(singleton(chain), ANTICHAIN).trees[0] is chain
+        assert len(calls) == 21
 
 
 def test_minimize_is_optimal_exhaustively():

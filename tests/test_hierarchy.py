@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import random
 import re
 import time
 from functools import reduce
@@ -280,6 +281,31 @@ class TestOrderTable:
         # the counter does see the recursion when it runs
         forests.h_leq(classes[5], classes[9], iterated.LABEL_ORDER)
         assert calls
+
+    def test_covers_build_the_table_once(self, monkeypatch):
+        classes = list(enumerate_segment(3, 4, 2).classes)
+        calls = []
+        real = hy._class_rows
+
+        def counting(reps):
+            calls.append(reps)
+            return real(reps)
+
+        monkeypatch.setattr(hy, "_class_rows", counting)
+        covers = hy._transitive_reduction(classes)
+        assert len(calls) == 1
+        assert covers == tuple(sorted(covers))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_covers_in_any_index_order(self, seed):
+        # the walk keeps the least classes above each class whatever the index
+        # order: on shuffled classes it finds the same covers, renamed
+        classes = list(enumerate_segment(3, 4, 2).classes)
+        perm = list(range(len(classes)))
+        random.Random(seed).shuffle(perm)
+        covers = hy._transitive_reduction([classes[p] for p in perm])
+        assert sorted((perm[i], perm[j]) for i, j in covers) == list(
+            hy._transitive_reduction(classes))
 
 
 def _recolor(f: iterated.IForest, perm) -> iterated.IForest:
