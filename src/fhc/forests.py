@@ -279,8 +279,9 @@ def seq_product(f, g):
     """
     if f.is_empty():
         return g
+    return f.with_trees(tuple(_graft(t, g.trees) for t in f.trees))
 
-    def graft(t):
-        return t.with_children(tuple(graft(c) for c in t.children) or g.trees)
 
-    return f.with_trees(tuple(graft(t) for t in f.trees))
+def _graft(t, top: tuple):
+    # ``t`` with the trees of ``top`` above each of its leaves
+    return t.with_children(tuple(_graft(c, top) for c in t.children) or top)

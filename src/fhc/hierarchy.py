@@ -81,7 +81,7 @@ class QuotientSegment(Record):
 
     ``classes`` holds one minimal canonical representative per equivalence
     class; ``covers`` is the transitive reduction of the strict order among
-    those classes, as (lower index, upper index) pairs.
+    those classes, as (lower index, upper index) pairs in ascending order.
     """
 
     __slots__ = ("k", "max_nodes", "max_level", "classes", "covers")
@@ -149,16 +149,12 @@ def _class_rows(reps: list[IForest]) -> list[int]:
     Mannila): t sits below what holds a node u with label t <= label u and
     every child of t below u.  A color is its own label.
     """
-    pool, holding, labelled = {}, [], []
-
-    def visit(ts) -> None:
-        for t in ts:
-            if t not in pool:
-                visit((t.label, *t.children) if t.level else ())
-                p = pool[t] = len(pool)
-                holding.append(1 << p)
-                labelled.append(0)
-                labelled[pool[t.label] if t.level else p] |= 1 << p
+    pool: dict = {}
+    _parts_first((t for f in reps for t in f.trees), pool)
+    n = len(pool)
+    holding, labelled = [1 << p for p in range(n)], [0] * n
+    for p, t in enumerate(pool):
+        labelled[pool[t.label] if t.level else p] |= 1 << p
 
     def labelled_in(s: int) -> int:  # the pool trees labelled by a member of s
         s &= (1 << n) - 1
@@ -169,9 +165,6 @@ def _class_rows(reps: list[IForest]) -> list[int]:
             s ^= low
         return out
 
-    visit(t for f in reps for t in f.trees)
-    del visit  # visit refers to itself: unbound, the pool dies with the call
-    n = len(pool)
     for j, f in enumerate(reps):
         for t in f.trees:
             holding[pool[t]] |= 1 << n + j  # a class holds its trees
@@ -193,12 +186,20 @@ def _class_rows(reps: list[IForest]) -> list[int]:
     return [reduce(and_, (up[pool[t]] for t in f.trees), full) >> n for f in reps]
 
 
+def _parts_first(ts, pool: dict) -> None:
+    # number each tree not yet in the pool after its label and children, depth first
+    for t in ts:
+        if t not in pool:
+            _parts_first((t.label, *t.children) if t.level else (), pool)
+            pool[t] = len(pool)
+
+
 def hasse_dot(seg: QuotientSegment) -> str:
     """The segment as a DOT digraph, one node per class, one edge per cover."""
     lines = ["digraph segment {", "  rankdir=BT;"]
     for idx, rep in enumerate(seg.classes):
         lines.append(f'  n{idx} [label="{iterated.serialize_forest(rep)}"];')
-    for lo, hi in sorted(seg.covers):
+    for lo, hi in seg.covers:
         lines.append(f"  n{lo} -> n{hi};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -211,6 +212,6 @@ def write_segment(seg: QuotientSegment) -> str:
     lines = [f"fhc-segment v1 k={seg.k} nodes={seg.max_nodes} level={seg.max_level}"]
     lines.extend(iterated.serialize_forest(rep) for rep in seg.classes)
     lines.append("covers:")
-    lines.extend(f"{lo} {hi}" for lo, hi in sorted(seg.covers))
+    lines.extend(f"{lo} {hi}" for lo, hi in seg.covers)
     return "\n".join(lines) + "\n"
 

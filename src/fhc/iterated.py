@@ -292,7 +292,7 @@ def iminimize(f: IForest) -> IForest:
 def _imin_labels(t: ITree) -> ITree:
     if t.level <= 1:
         return t  # every label is a color, already least
-    (label,) = iminimize(singleton(t.label)).trees  # a tree minimizes to a tree
+    label = _imin_labels(forests._min_tree(t.label, LABEL_ORDER))  # a lone tree is undominated
     return ITree(t.level, label, tuple(_imin_labels(c) for c in t.children))
 
 
@@ -400,58 +400,46 @@ def _forests(k: int, max_size: int, max_level: int, keep: Callable,
             raise SegmentBoundError("segment", f"at least {built} trees and forests", bound)
         return item
 
-    @cache
-    def trees(size: int, level: int) -> list[ITree]:
-        # the canonical trees of exactly this size, in sort_key order
-        if level == 0:  # colors are always kept
-            return [color(i) for i in counted(range(k), k)] if size == 1 else []
-        return sorted((
-            ITree(level, label, ch)
-            for label_size in range(1, size + 1)
-            for label in trees(label_size, level - 1)
-            for ch in tuples(size - label_size, level)
-            if counted(keep(label, ch))
-        ), key=_SORT_KEY)
-
-    pools: dict[int, list[ITree]] = {}  # each level's trees by ascending size
-
-    @cache
-    def tuples(total: int, level: int) -> list[tuple[ITree, ...]]:
-        # multisets of trees with sizes summing to total, as sorted tuples
-        if total > 1:
-            tuples(total - 1, level)  # which put the smaller trees in the pool
-        pool = pools.setdefault(level, [])
-        pool += trees(total, level)
-        out: list[tuple[ITree, ...]] = []
-
-        def rec(start: int, remaining: int, acc: tuple[ITree, ...]) -> None:
-            # one frame per distinct tree: each pool tree from ``start`` on goes in
-            # as often as fits, down to once, while what is left fits a later tree
-            if remaining == 0:
-                out.append(counted(acc))
-                return
-            for i in range(start, len(pool)):
-                t = pool[i]
-                if t.size > remaining:
-                    break  # the pool ascends by size
-                least = pool[i + 1].size if i + 1 < len(pool) else remaining + 1
-                exact = [remaining // t.size] if remaining % t.size == 0 else []
-                for m in exact + [*range((remaining - least) // t.size, 0, -1)]:
-                    rec(i + 1, remaining - m * t.size, acc + (t,) * m)
-
-        rec(0, total, ())
-        del rec  # rec refers to itself: unbound, it leaves the pool to no cyclic collector
-        return out
-
-    out = [IForest(0)] + [
-        IForest(level, ch)
-        for size in range(1, max_size + 1)
-        for level in range(max_level + 1)
-        for ch in tuples(size, level)
-        if apart(ch)
-    ]
-    del trees, tuples  # they refer to each other: unbound, the tables die with the call
+    trees, tuples, pools = {}, {}, {}  # pools: each level's trees by ascending size
+    out = [IForest(0)]
+    # size outer, level inner: each table entry is built after the entries it reads
+    for size in range(1, max_size + 1):
+        for level in range(max_level + 1):
+            if level == 0:  # colors are always kept
+                trees[size, 0] = [color(i) for i in counted(range(k), k)] if size == 1 else []
+            else:
+                if size == 1 and k:  # the empty multiset, counted when a leaf first needs it
+                    tuples[0, level] = [counted(())]
+                # the canonical trees of exactly this size, in sort_key order
+                trees[size, level] = sorted((
+                    ITree(level, label, ch)
+                    for label_size in range(1, size + 1)
+                    for label in trees[label_size, level - 1]
+                    for ch in tuples[size - label_size, level]
+                    if counted(keep(label, ch))
+                ), key=_SORT_KEY)
+            pool = pools.setdefault(level, [])
+            pool += trees[size, level]
+            tuples[size, level] = [counted(ch) for ch in _multisets(pool, 0, size)]
+            out += (IForest(level, ch) for ch in tuples[size, level] if apart(ch))
     return out
+
+
+def _multisets(pool: list[ITree], start: int, remaining: int, acc: tuple[ITree, ...] = ()):
+    # ``acc`` plus each multiset of pool trees from ``start`` on whose sizes sum to
+    # ``remaining``, as sorted tuples: each tree goes in as often as fits, down to
+    # once, while what is left fits a later tree (the pool ascends by size)
+    if remaining == 0:
+        yield acc
+        return
+    for i in range(start, len(pool)):
+        t = pool[i]
+        if t.size > remaining:
+            break
+        least = pool[i + 1].size if i + 1 < len(pool) else remaining + 1
+        exact = [remaining // t.size] if remaining % t.size == 0 else []
+        for m in exact + [*range((remaining - least) // t.size, 0, -1)]:
+            yield from _multisets(pool, i + 1, remaining - m * t.size, acc + (t,) * m)
 
 
 def count_forests(k: int, max_size: int, max_level: int) -> int:

@@ -184,44 +184,44 @@ def build_t(alpha: Ordinal, i: int, n: int, k: int) -> IForest:
         raise ValueError("finite alphabet required for the level family (k >= 2)")
     if not 0 <= i < k:
         raise ValueError(f"color {i} outside alphabet of size {k}")
-    memo: dict = {}
+    return _level(alpha, i, n, k, {})
 
-    def rec(a: Ordinal, col: int, grade: int) -> IForest:
-        key = (a, col, grade)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if a.is_zero():
-            out = iterated.color_forest(col)
+
+def _level(a: Ordinal, col: int, grade: int, k: int, memo: dict) -> IForest:
+    # build_t's forest for ``a``, ``col`` and ``grade``, each kept in ``memo``
+    key = (a, col, grade)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    if a.is_zero():
+        out = iterated.color_forest(col)
+    else:
+        beta, gamma = peel_last(a)
+        if beta.is_zero() and not gamma.is_zero():
+            # a pure power of omega recurses into the exponent, one grade up
+            out = _level(gamma, col, grade + 1, k, memo)
         else:
-            beta, gamma = peel_last(a)
-            if beta.is_zero() and not gamma.is_zero():
-                # a pure power of omega recurses into the exponent, one grade up
-                out = rec(gamma, col, grade + 1)
-            else:
-                # col (successor) or the last power, stacked over the join of
-                # all lower levels
-                check_grade(grade)
-                # the lower levels down the chain of peels (a successor's finite
-                # tail, say), built bottom-up in the order the calls below
-                # would build them, but without a frame a step
-                lower, b = [], beta
-                while not (b.is_zero() or (b, 0, grade) in memo):
-                    lower.append(b)
-                    b = peel_last(b)[0]
-                for b in reversed(lower):
-                    rec(b, 0, grade)
-                first = rec(beta, 0, grade)
-                head = rec(gamma if gamma.is_zero() else omega_pow(gamma), col, grade)
-                # the product keeps all of head and all k parts
-                _check_size(head.size + k * first.size)
-                rest = (rec(beta, j, grade) for j in range(1, k))
-                out = iterated.dot_p(head, iterated.join(first, *rest), grade)
-                _check_size(out.size)
-        memo[key] = out
-        return out
-
-    return rec(alpha, i, n)
+            # col (successor) or the last power, stacked over the join of
+            # all lower levels
+            check_grade(grade)
+            # the lower levels down the chain of peels (a successor's finite
+            # tail, say), built bottom-up in the order the calls below
+            # would build them, but without a frame a step
+            lower, b = [], beta
+            while not (b.is_zero() or (b, 0, grade) in memo):
+                lower.append(b)
+                b = peel_last(b)[0]
+            for b in reversed(lower):
+                _level(b, 0, grade, k, memo)
+            first = _level(beta, 0, grade, k, memo)
+            head = _level(gamma if gamma.is_zero() else omega_pow(gamma), col, grade, k, memo)
+            # the product keeps all of head and all k parts
+            _check_size(head.size + k * first.size)
+            rest = (_level(beta, j, grade, k, memo) for j in range(1, k))
+            out = iterated.dot_p(head, iterated.join(first, *rest), grade)
+            _check_size(out.size)
+    memo[key] = out
+    return out
 
 
 def _check_size(least: int) -> None:

@@ -478,8 +478,8 @@ class TestDeepInput:
     """Nesting past the recursion limit is refused, never a traceback."""
 
     @pytest.mark.parametrize("argv", [
-        ("min", "[" * 500 + "0" + "]" * 500),
-    ], ids=["min-500-brackets"])
+        ("min", "[" * 2000 + "0" + "]" * 2000),
+    ], ids=["min-2000-brackets"])
     def test_refused_with_exit_2(self, argv):
         proc = run(*argv)
         assert proc.returncode == 2
@@ -497,9 +497,12 @@ class TestDeepInput:
         # the map search walks both forests and its maps on its own stacks
         (("cmp", "{0}", "{" + "[0:" * 1499 + "[1]" + "]" * 1499 + "}", "--oracle"), "<\n"),
         (("cmp", "{" + "[0:" * 1499 + "[1]" + "]" * 1499 + "}", "{0}", "--oracle"), ">\n"),
+        # each label minimizes as a lone tree, with no frames for a forest round trip
+        (("min", "[" * 800 + "0" + "]" * 800), "{0}\n"),
+        (("decompose", "[" * 800 + "0" + "]" * 800), "[" * 800 + "0" + "]" * 800 + "\n"),
     ], ids=["cmp-330-chain-bottom", "cmp-bottom-330-chain", "jump-height-500-G",
             "cmp-300-chains", "cmp-n1-1500-chain", "cmp-oracle-color-1500-chain",
-            "cmp-oracle-1500-chain-color"])
+            "cmp-oracle-1500-chain-color", "min-800-brackets", "decompose-800-brackets"])
     def test_text_output_prints_no_operand(self, argv, out):
         # only JSON output prints the operands, so text output answers deep
         # input that no layer but the operands' printer recurses through

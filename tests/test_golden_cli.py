@@ -14,6 +14,7 @@ Re-record (only when an output change is intended):
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 from contextlib import redirect_stderr, redirect_stdout
@@ -116,6 +117,18 @@ def _load() -> list[dict]:
 def test_golden_output(case):
     code, out = invoke(case["argv"], case["env"])
     assert (code, out) == (case["code"], case["stdout"])
+
+
+@pytest.mark.parametrize("case", _load(), ids=lambda c: " ".join(c["argv"]))
+def test_call_leaves_no_cyclic_garbage(case):
+    # every temporary of a call, a refused call's too, dies by reference counting
+    gc.collect()
+    gc.disable()
+    try:
+        invoke(case["argv"], case["env"])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_corpus_covers_every_invocation():

@@ -189,15 +189,19 @@ class TestSegments:
         assert str(exc.value) == (
             "segment too large: at least 541 trees and forests (bound 540)")
 
-    @pytest.mark.parametrize("segment", [(4, 4, 1), (2, 5, 2), (3, 4, 2)],
+    @pytest.mark.parametrize("segment", [(4, 4, 1), (2, 5, 2), (3, 4, 2), (9, 9, 3)],
                              ids="k{0[0]}-n{0[1]}-l{0[2]}".format)
     def test_tables_die_with_the_call(self, segment):
         # no reference cycle keeps the generator's or the order table's trees
-        # interned once the segment is dropped: the cyclic collector frees none
+        # interned once the segment is dropped or refused (9, 9, 3 is): the
+        # cyclic collector frees none
         gc.collect()
         gc.disable()
         try:
-            enumerate_segment(*segment)
+            try:
+                enumerate_segment(*segment)
+            except SegmentBoundError:
+                pass  # a kept exception would keep the call's frames
             interned = len(iterated._INTERNED)
             gc.collect()
             assert len(iterated._INTERNED) == interned
